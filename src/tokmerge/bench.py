@@ -12,6 +12,7 @@ import statistics
 import time
 import tracemalloc
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .core import (
     apply_unmerge,
     counts_for,
     identity_plan,
+    require_finite,
 )
 from .flops import FlopModel
 from .fmap import CaptureRecord, write_capture
@@ -60,16 +62,23 @@ REPLAY_COLUMNS = [
 
 @dataclass(frozen=True)
 class HarnessParams:
-    """Shared sampling/benchmark knobs (one place for the CLI defaults)."""
+    """Shared sampling/benchmark knobs, and the defaults of the CLI flags.
+
+    The merge settings default to :class:`MergeConfig`'s defaults.
+    """
 
     tokens: int = 64
     channels: int = 16
     steps: int = 50
     cfg_scale: float = 7.5
-    dst_frac: float = 0.25
-    pool_factor: float = 0.4
-    prune_steps: int = 6
-    seed: int = 0
+    dst_frac: float = MergeConfig.k
+    pool_factor: float = MergeConfig.p
+    prune_steps: int = MergeConfig.prune_steps
+    seed: int = MergeConfig.seed
+
+    def __post_init__(self) -> None:
+        require_finite(cfg_scale=self.cfg_scale, dst_frac=self.dst_frac,
+                       pool_factor=self.pool_factor)
 
     def grid(self) -> tuple[int, int]:
         side = math.isqrt(self.tokens)
@@ -130,6 +139,19 @@ def _mse(a: TokenMatrix, b: TokenMatrix) -> float:
     return float(np.mean(diff * diff))
 
 
+def _traced_peak(run: Callable[[], TokenMatrix]) -> tuple[TokenMatrix, int]:
+    """``run()``'s result and the peak bytes traced by ``tracemalloc`` during it."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
 def _mean_or_nan(values: list[float]) -> float:
     return float(np.mean(values)) if values else float("nan")
 
@@ -145,8 +167,9 @@ def run_bench(
 ) -> list[dict]:
     """One CSV row per (strategy, ratio) pair plus the unmerged baseline row.
 
-    Latency is the median full-trajectory wall clock over ``repeats`` runs
-    (after ``warmups``) divided by the step count; fidelity is the MSE of the
+    Latency is the median full-trajectory wall clock over ``repeats`` untraced
+    runs (after ``warmups``) divided by the step count; peak memory comes from
+    one more trajectory run under ``tracemalloc``.  Fidelity is the MSE of the
     final sample against the strategy=none baseline under identical seeds.
     Infeasible pairs produce a row with status "infeasible" and the run
     continues.
@@ -156,81 +179,75 @@ def run_bench(
     schedule = params.schedule()
     seeds = [params.seed + i for i in range(max(1, n_seeds))]
 
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        def timed_run(config: MergeConfig, seed: int) -> tuple[TokenMatrix, float, int]:
-            tracemalloc.reset_peak()
-            times = []
-            out = None
-            for _ in range(warmups + repeats):
-                t0 = time.perf_counter()
-                out = sample(model, schedule, config, params.cfg_scale, condition,
-                             Rng(seed), grid)
-                times.append(time.perf_counter() - t0)
-            peak = tracemalloc.get_traced_memory()[1]
-            return out, statistics.median(times[warmups:]), peak
+    def timed_run(config: MergeConfig, seed: int) -> tuple[TokenMatrix, float, int]:
+        def run() -> TokenMatrix:
+            return sample(model, schedule, config, params.cfg_scale, condition,
+                          Rng(seed), grid)
 
-        flop = FlopModel(params.tokens, params.channels, model.n_hidden,
-                         n_blocks=model.n_blocks)
+        times = []
+        for _ in range(warmups + repeats):
+            t0 = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - t0)
+        out, peak = _traced_peak(run)
+        return out, statistics.median(times[warmups:]), peak
 
-        baselines = {}
-        base_cfg = params.config(STRATEGY_NONE, 0.0, seeds[0])
-        base_out, base_latency, base_peak = timed_run(base_cfg, seeds[0])
-        baselines[seeds[0]] = base_out
-        for s in seeds[1:]:
-            baselines[s] = sample(model, schedule, params.config(STRATEGY_NONE, 0.0, s),
-                                  params.cfg_scale, condition, Rng(s), grid)
+    flop = FlopModel(params.tokens, params.channels, model.n_hidden,
+                     n_blocks=model.n_blocks)
 
-        def row(strategy, r, **fields):
-            base = {c: "" for c in BENCH_COLUMNS}
-            base.update(
-                strategy=strategy, r=r, k=params.dst_frac, p=params.pool_factor,
-                prune_steps=params.prune_steps, steps=params.steps,
-                tokens=params.tokens, channels=params.channels, status="ok",
-            )
-            base.update(fields)
-            return base
+    baselines = {}
+    base_cfg = params.config(STRATEGY_NONE, 0.0, seeds[0])
+    base_out, base_latency, base_peak = timed_run(base_cfg, seeds[0])
+    baselines[seeds[0]] = base_out
+    for s in seeds[1:]:
+        baselines[s] = sample(model, schedule, params.config(STRATEGY_NONE, 0.0, s),
+                              params.cfg_scale, condition, Rng(s), grid)
 
-        rows = [
-            row(
-                STRATEGY_NONE, 0.0,
-                flops_per_step=flop.step_flops(),
-                latency_step_s=base_latency / params.steps,
-                peak_mem_bytes=base_peak,
-                mse_vs_baseline=0.0,
-            )
-        ]
-        for strategy in strategies:
-            if strategy == STRATEGY_NONE:
+    def row(strategy, r, **fields):
+        base = {c: "" for c in BENCH_COLUMNS}
+        base.update(
+            strategy=strategy, r=r, k=params.dst_frac, p=params.pool_factor,
+            prune_steps=params.prune_steps, steps=params.steps,
+            tokens=params.tokens, channels=params.channels, status="ok",
+        )
+        base.update(fields)
+        return base
+
+    rows = [
+        row(
+            STRATEGY_NONE, 0.0,
+            flops_per_step=flop.step_flops(),
+            latency_step_s=base_latency / params.steps,
+            peak_mem_bytes=base_peak,
+            mse_vs_baseline=0.0,
+        )
+    ]
+    for strategy in strategies:
+        if strategy == STRATEGY_NONE:
+            continue
+        for r in ratios:
+            try:
+                config = params.config(strategy, r, seeds[0])
+                counts = counts_for(params.tokens, config)
+                out, latency, peak = timed_run(config, seeds[0])
+                mses = [_mse(out, baselines[seeds[0]])]
+                for s in seeds[1:]:
+                    extra = sample(model, schedule, params.config(strategy, r, s),
+                                   params.cfg_scale, condition, Rng(s), grid)
+                    mses.append(_mse(extra, baselines[s]))
+            except ConfigInfeasibleError as exc:
+                rows.append(row(strategy, r, status=f"infeasible: {exc}"))
                 continue
-            for r in ratios:
-                try:
-                    config = params.config(strategy, r, seeds[0])
-                    counts = counts_for(params.tokens, config)
-                    out, latency, peak = timed_run(config, seeds[0])
-                    mses = [_mse(out, baselines[seeds[0]])]
-                    for s in seeds[1:]:
-                        extra = sample(model, schedule, params.config(strategy, r, s),
-                                       params.cfg_scale, condition, Rng(s), grid)
-                        mses.append(_mse(extra, baselines[s]))
-                except ConfigInfeasibleError as exc:
-                    rows.append(row(strategy, r, status=f"infeasible: {exc}"))
-                    continue
-                rows.append(
-                    row(
-                        strategy, r,
-                        flops_per_step=flop.step_flops(counts.n_out),
-                        latency_step_s=latency / params.steps,
-                        peak_mem_bytes=peak,
-                        mse_vs_baseline=float(np.mean(mses)),
-                    )
+            rows.append(
+                row(
+                    strategy, r,
+                    flops_per_step=flop.step_flops(counts.n_out),
+                    latency_step_s=latency / params.steps,
+                    peak_mem_bytes=peak,
+                    mse_vs_baseline=float(np.mean(mses)),
                 )
-        return rows
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+            )
+    return rows
 
 
 def run_compare(

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 
 from .bench import (
@@ -35,37 +36,44 @@ _STRATEGY_BY_FLAG = {
     "topk": STRATEGY_TOPK,
 }
 
+_BENCH_RATIOS = (0.3, 0.5, 0.7)
+
 _BENCH_SCHEMA = "CSV columns: " + ",".join(BENCH_COLUMNS)
 _COMPARE_SCHEMA = "CSV columns: " + ",".join(COMPARE_COLUMNS)
 _REPLAY_SCHEMA = "CSV columns: " + ",".join(REPLAY_COLUMNS)
 
 
+# One flag per HarnessParams field: --dst-frac sets dst_frac, and so on.
+_SHARED_HELP = {
+    "tokens": "token count; must be a perfect square with even side",
+    "channels": "token feature channels",
+    "steps": "sampling steps",
+    "cfg_scale": "guidance weight w",
+    "dst_frac": "dst fraction k",
+    "pool_factor": "pool headroom p",
+    "prune_steps": "early steps that prune instead of merge",
+    "seed": "base seed",
+}
+
+
 def _add_shared_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dst-frac", type=float, default=0.25,
-                   help="dst fraction k (default 0.25)")
-    p.add_argument("--pool-factor", type=float, default=0.4,
-                   help="pool headroom p (default 0.4)")
-    p.add_argument("--prune-steps", type=int, default=6,
-                   help="early steps that prune instead of merge (default 6)")
-    p.add_argument("--steps", type=int, default=50,
-                   help="sampling steps (default 50)")
-    p.add_argument("--cfg-scale", type=float, default=7.5,
-                   help="guidance weight w (default 7.5)")
-    p.add_argument("--tokens", type=int, default=64,
-                   help="token count; must be a perfect square with even side "
-                        "(default 64)")
-    p.add_argument("--channels", type=int, default=16,
-                   help="token feature channels (default 16)")
-    p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    defaults = HarnessParams()
+    for f in dataclasses.fields(HarnessParams):
+        default = getattr(defaults, f.name)
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(default),
+                       default=default,
+                       help=f"{_SHARED_HELP[f.name]} (default %(default)s)")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--format", choices=["csv"], default="csv",
-                   help="report format (default csv)")
+                   help="report format (default %(default)s)")
 
 
 def _strategy_flag(p: argparse.ArgumentParser, default: list[str]) -> None:
+    # An "append" flag cannot take a list default: given values would extend it.
     p.add_argument("--strategy", action="append", choices=sorted(_STRATEGY_BY_FLAG),
                    default=None,
                    help=f"strategy, repeatable (default: {' '.join(default)})")
+    p.set_defaults(default_strategies=default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,13 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _strategy_flag(b, ["tome", "importance"])
     b.add_argument("--ratio", action="append", type=float, default=None,
-                   help="merge ratio, repeatable (default: 0.3 0.5 0.7)")
+                   help="merge ratio, repeatable (default: "
+                        f"{' '.join(map(str, _BENCH_RATIOS))})")
     b.add_argument("--seeds", type=int, default=1,
-                   help="trajectories averaged for fidelity (default 1)")
+                   help="trajectories averaged for fidelity (default %(default)s)")
     b.add_argument("--repeats", type=int, default=5,
-                   help="timed runs per row (default 5)")
+                   help="timed runs per row (default %(default)s)")
     b.add_argument("--condition", type=int, default=0,
-                   help="class condition id (default 0)")
+                   help="class condition id (default %(default)s)")
     _add_shared_flags(b)
     b.set_defaults(func=_cmd_bench)
 
@@ -99,11 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _strategy_flag(c, ["tome", "importance", "topk"])
     c.add_argument("--ratio", type=float, default=0.7,
-                   help="merge ratio (default 0.7)")
+                   help="merge ratio (default %(default)s)")
     c.add_argument("--seeds", type=int, default=32,
-                   help="seeds in the grid (default 32)")
+                   help="seeds in the grid (default %(default)s)")
     c.add_argument("--conditions", type=int, default=4,
-                   help="class conditions in the grid (default 4)")
+                   help="class conditions in the grid (default %(default)s)")
     _add_shared_flags(c)
     c.set_defaults(func=_cmd_compare)
 
@@ -112,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump per-layer features and guidance maps of an unmerged run",
     )
     cap.add_argument("--condition", type=int, default=0,
-                     help="class condition id (default 0)")
+                     help="class condition id (default %(default)s)")
     _add_shared_flags(cap)
     cap.set_defaults(func=_cmd_capture)
 
@@ -124,28 +133,19 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--input", required=True, help="FMAP file to replay")
     _strategy_flag(rep, ["importance"])
     rep.add_argument("--ratio", type=float, default=0.7,
-                     help="merge ratio (default 0.7)")
+                     help="merge ratio (default %(default)s)")
     _add_shared_flags(rep)
     rep.set_defaults(func=_cmd_replay)
     return parser
 
 
 def _params(args: argparse.Namespace) -> HarnessParams:
-    return HarnessParams(
-        tokens=args.tokens,
-        channels=args.channels,
-        steps=args.steps,
-        cfg_scale=args.cfg_scale,
-        dst_frac=args.dst_frac,
-        pool_factor=args.pool_factor,
-        prune_steps=args.prune_steps,
-        seed=args.seed,
-    )
+    return HarnessParams(**{f.name: getattr(args, f.name)
+                            for f in dataclasses.fields(HarnessParams)})
 
 
-def _strategies(args: argparse.Namespace, default: list[str]) -> list[str]:
-    flags = args.strategy if args.strategy else default
-    return [_STRATEGY_BY_FLAG[f] for f in flags]
+def _strategies(args: argparse.Namespace) -> list[str]:
+    return [_STRATEGY_BY_FLAG[f] for f in args.strategy or args.default_strategies]
 
 
 def _write_rows(rows: list[dict], columns: list[str], out: str | None) -> None:
@@ -162,10 +162,9 @@ def _write_rows(rows: list[dict], columns: list[str], out: str | None) -> None:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    ratios = args.ratio if args.ratio else [0.3, 0.5, 0.7]
     rows = run_bench(
-        _strategies(args, ["tome", "importance"]),
-        ratios,
+        _strategies(args),
+        args.ratio or list(_BENCH_RATIOS),
         _params(args),
         n_seeds=args.seeds,
         repeats=args.repeats,
@@ -177,7 +176,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     rows = run_compare(
-        _strategies(args, ["tome", "importance", "topk"]),
+        _strategies(args),
         args.ratio,
         _params(args),
         n_seeds=args.seeds,
@@ -199,7 +198,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     records = read_capture(args.input)
     rows = run_replay(
         records,
-        _strategies(args, ["importance"]),
+        _strategies(args),
         args.ratio,
         _params(args),
     )

@@ -10,7 +10,7 @@ processed value back to every position that was merged into it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +36,13 @@ class ConfigInfeasibleError(ValueError):
 
 def _floor_count(x: float) -> int:
     return int(math.floor(x + _FLOOR_EPS))
+
+
+def require_finite(**settings: float) -> None:
+    """Raise :class:`ConfigInfeasibleError` naming the first non-finite setting."""
+    for name, value in settings.items():
+        if not math.isfinite(value):
+            raise ConfigInfeasibleError(f"{name}={value} must be finite")
 
 
 @dataclass(frozen=True)
@@ -121,6 +128,7 @@ class MergeConfig:
             raise ConfigInfeasibleError(
                 f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
             )
+        require_finite(r=self.r, k=self.k, p=self.p)
         if not 0.0 <= self.r < 1.0:
             raise ConfigInfeasibleError(f"merge ratio r={self.r} must be in [0, 1)")
         if not 0.0 < self.k < 1.0:
@@ -176,52 +184,49 @@ def counts_for(n: int, config: MergeConfig) -> PlanCounts:
     return PlanCounts(pool_size, n_dst, n_independent, n_out)
 
 
+_PLAN_ARRAYS = ("dst_indices", "independent_indices", "merged_sources", "merged_dst_pos")
+
+
 @dataclass(eq=False)
 class MergePlan:
-    """The computed partition plus the src-to-dst assignment.
+    """A token partition as index arrays, reusable for merge, prune, and unmerge.
 
-    Reusable for merge, prune, and unmerge.  ``dst_indices`` and
-    ``independent_indices`` are stored in ascending order; the reduced
-    matrix is laid out ``[dst..., independent...]`` in that order.
+    ``dst_indices``, ``independent_indices`` and ``merged_sources`` are
+    ascending token indices that together partition ``range(n_in)``.
+    ``merged_dst_pos[i]`` is the position in ``dst_indices`` of the dst that
+    ``merged_sources[i]`` merges into.  The reduced matrix is laid out
+    ``[dst..., independent...]`` in that order.
     """
 
     n_in: int
     dst_indices: np.ndarray
     independent_indices: np.ndarray
-    merged_assignment: dict[int, int]
-
-    # Derived lookup tables, filled in __post_init__.
-    _merged_src: np.ndarray = field(repr=False, default=None)
-    _merged_dst_pos: np.ndarray = field(repr=False, default=None)
+    merged_sources: np.ndarray
+    merged_dst_pos: np.ndarray
 
     def __post_init__(self) -> None:
-        self.n_in = int(self.n_in)
-        dst = np.asarray(self.dst_indices, dtype=np.int64)
-        ind = np.asarray(self.independent_indices, dtype=np.int64)
+        n = self.n_in = int(self.n_in)
+        dst, ind, src, pos = (
+            np.asarray(getattr(self, name), dtype=np.int64) for name in _PLAN_ARRAYS
+        )
         if dst.size == 0:
             raise InvalidPlanError("plan needs at least one dst token")
-        src = np.fromiter(
-            sorted(self.merged_assignment), dtype=np.int64, count=len(self.merged_assignment)
-        )
-        targets = np.fromiter(
-            (self.merged_assignment[i] for i in src), dtype=np.int64, count=src.size
-        )
         all_idx = np.concatenate([dst, ind, src])
-        if all_idx.size != self.n_in or not np.array_equal(
-            np.sort(all_idx), np.arange(self.n_in)
-        ):
+        in_range = all_idx.size == n and all_idx.min() >= 0 and all_idx.max() < n
+        if not in_range or np.bincount(all_idx).max() > 1:
             raise InvalidPlanError(
                 "dst, independent, and merged indices must partition the token set"
             )
-        pos = np.full(self.n_in, -1, dtype=np.int64)
-        pos[dst] = np.arange(dst.size)
-        if src.size and np.any(pos[targets] < 0):
+        # Array methods, not np.any: plans are built per layer and pass, and
+        # the function form costs several microseconds more per call.
+        if any((a[1:] < a[:-1]).any() for a in (dst, ind, src)):
+            raise InvalidPlanError("plan indices must be ascending")
+        if pos.shape != src.shape or ((pos < 0) | (pos >= dst.size)).any():
             raise InvalidPlanError("merged tokens must be assigned to dst indices")
         self.dst_indices = dst
         self.independent_indices = ind
-        self.merged_assignment = {int(s): int(t) for s, t in zip(src, targets)}
-        self._merged_src = src
-        self._merged_dst_pos = pos[targets] if src.size else np.empty(0, dtype=np.int64)
+        self.merged_sources = src
+        self.merged_dst_pos = pos
 
     @property
     def n_out(self) -> int:
@@ -229,33 +234,27 @@ class MergePlan:
 
     @property
     def n_merged(self) -> int:
-        return self._merged_src.size
-
-    @property
-    def merged_sources(self) -> np.ndarray:
-        """Merged token indices, ascending."""
-        return self._merged_src
+        return self.merged_sources.size
 
     @property
     def merged_targets(self) -> np.ndarray:
         """The dst token index each merged token is assigned to, aligned with
         :attr:`merged_sources`."""
-        return self.dst_indices[self._merged_dst_pos]
+        return self.dst_indices[self.merged_dst_pos]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MergePlan):
             return NotImplemented
-        return (
-            self.n_in == other.n_in
-            and np.array_equal(self.dst_indices, other.dst_indices)
-            and np.array_equal(self.independent_indices, other.independent_indices)
-            and self.merged_assignment == other.merged_assignment
+        return self.n_in == other.n_in and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _PLAN_ARRAYS
         )
 
 
 def identity_plan(n: int) -> MergePlan:
     """A plan that keeps every token as its own dst and merges nothing."""
-    return MergePlan(n, np.arange(n, dtype=np.int64), np.empty(0, dtype=np.int64), {})
+    empty = np.empty(0, dtype=np.int64)
+    return MergePlan(n, np.arange(n, dtype=np.int64), empty, empty, empty)
 
 
 def _check_plan_input(tokens: TokenMatrix, plan: MergePlan) -> None:
@@ -276,8 +275,8 @@ def apply_merge(tokens: TokenMatrix, plan: MergePlan) -> TokenMatrix:
     dst = data[plan.dst_indices].astype(np.float64)
     if plan.n_merged:
         counts = np.ones(plan.dst_indices.size, dtype=np.float64)
-        np.add.at(dst, plan._merged_dst_pos, data[plan._merged_src].astype(np.float64))
-        np.add.at(counts, plan._merged_dst_pos, 1.0)
+        np.add.at(dst, plan.merged_dst_pos, data[plan.merged_sources].astype(np.float64))
+        np.add.at(counts, plan.merged_dst_pos, 1.0)
         dst /= counts[:, None]
     out = np.concatenate(
         [dst.astype(data.dtype, copy=False), data[plan.independent_indices]], axis=0
@@ -315,5 +314,5 @@ def apply_unmerge(processed: TokenMatrix, plan: MergePlan) -> TokenMatrix:
     out[plan.dst_indices] = data[:n_dst]
     out[plan.independent_indices] = data[n_dst:]
     if plan.n_merged:
-        out[plan._merged_src] = data[plan._merged_dst_pos]
+        out[plan.merged_sources] = data[plan.merged_dst_pos]
     return TokenMatrix(out)

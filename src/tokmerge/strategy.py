@@ -34,14 +34,10 @@ def _assemble_plan(
     assignment: np.ndarray,
     independent_positions: np.ndarray,
 ) -> MergePlan:
-    """Build a plan from sorted dst indices and per-src link targets."""
+    """Build a plan from sorted dst and src indices and each src's dst position."""
     ind_mask = np.zeros(src.size, dtype=bool)
     ind_mask[independent_positions] = True
-    independent = np.sort(src[ind_mask])
-    merged_src = src[~ind_mask]
-    merged_dst = dst[assignment[~ind_mask]]
-    merged = {int(s): int(d) for s, d in zip(merged_src, merged_dst)}
-    return MergePlan(n, dst, independent, merged)
+    return MergePlan(n, dst, src[ind_mask], src[~ind_mask], assignment[~ind_mask])
 
 
 def _least_similar(scores: np.ndarray, count: int) -> np.ndarray:

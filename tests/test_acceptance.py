@@ -206,7 +206,7 @@ def test_partition_and_shape_suite():
         restored = apply_unmerge(processed, plan)
         assert restored.n_tokens == n, f"case {case}"
         dst_row = {int(d): i for i, d in enumerate(plan.dst_indices)}
-        for s, d in plan.merged_assignment.items():
+        for s, d in zip(plan.merged_sources.tolist(), plan.merged_targets.tolist()):
             assert np.array_equal(restored.data[s], processed.data[dst_row[d]])
 
 
@@ -258,8 +258,7 @@ def _full_set_random_plan(tokens, cfg, rng):
     ind_pos = np.argsort(best, kind="stable")[: counts.n_independent]
     ind_mask = np.zeros(src.size, dtype=bool)
     ind_mask[ind_pos] = True
-    merged = {int(s): int(dst[link[i]]) for i, s in enumerate(src) if not ind_mask[i]}
-    return MergePlan(n, dst, np.sort(src[ind_mask]), merged)
+    return MergePlan(n, dst, np.sort(src[ind_mask]), src[~ind_mask], link[~ind_mask])
 
 
 @criterion("full-pool regime: pool plans equal full-set random-dst plans")

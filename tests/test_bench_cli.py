@@ -1,8 +1,11 @@
 import csv
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tokmerge import bench
 from tokmerge.bench import (
     BENCH_COLUMNS,
     COMPARE_COLUMNS,
@@ -17,7 +20,7 @@ from tokmerge.bench import (
     run_replay,
 )
 from tokmerge.cli import main
-from tokmerge.core import TokenMatrix, identity_plan
+from tokmerge.core import ConfigInfeasibleError, MergeConfig, TokenMatrix, identity_plan
 from tokmerge.fmap import CaptureRecord, read_capture, write_capture
 from tokmerge.rng import Rng
 from tokmerge.strategy import plan_importance_pool
@@ -47,6 +50,33 @@ def test_bench_infeasible_pair_reported_and_run_continues():
     by_ratio = {row["r"]: row for row in rows if row["strategy"] == "importance-pool"}
     assert by_ratio[0.9]["status"].startswith("infeasible")
     assert by_ratio[0.5]["status"] == "ok"
+
+
+def test_bench_times_untraced_and_traces_one_trajectory_per_row(monkeypatch):
+    calls = []
+    real_sample = bench.sample
+
+    def recording_sample(model, schedule, config, *args, **kwargs):
+        calls.append(((config.strategy, config.r), tracemalloc.is_tracing()))
+        return real_sample(model, schedule, config, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "sample", recording_sample)
+    rows = run_bench(["tome-random-grid"], [0.5], FAST, repeats=2, warmups=1)
+    assert [row["status"] for row in rows] == ["ok", "ok"]
+    for key in (("none", 0.0), ("tome-random-grid", 0.5)):
+        traced = [tracing for k, tracing in calls if k == key]
+        assert traced.count(False) == 3  # 1 warm-up + 2 timed runs
+        assert traced.count(True) == 1
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["r", "k", "p", "cfg_scale", "dst_frac", "pool_factor"])
+def test_non_finite_setting_is_rejected_by_name(name, value):
+    with pytest.raises(ConfigInfeasibleError, match=f"^{name}=.* must be finite"):
+        if name in ("r", "k", "p"):
+            MergeConfig(**{"strategy": "importance-pool", "r": 0.5, name: value})
+        else:
+            HarnessParams(**{name: value})
 
 
 def test_bench_flops_decrease_with_ratio():
@@ -213,6 +243,17 @@ def test_cli_exit_codes():
     assert cli("capture", "--tokens", "16") == 1  # missing --out
     assert cli("replay", "--input", "/nonexistent/path.fmap") == 2  # I/O error
     assert cli("nonsense") == 1  # argparse usage error
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "flag, name",
+    [("--pool-factor", "pool_factor"), ("--dst-frac", "dst_frac"),
+     ("--cfg-scale", "cfg_scale")],
+)
+def test_cli_rejects_non_finite_setting_by_name(capsys, flag, name, value):
+    assert cli("bench", f"{flag}={value}", "--tokens", "16", "--steps", "2") == 1
+    assert name in capsys.readouterr().err
 
 
 def test_cli_capture_unwritable_path_is_io_error():

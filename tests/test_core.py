@@ -22,7 +22,9 @@ from tokmerge import (
 
 
 def plan(n, dst, ind, merged):
-    return MergePlan(n, np.array(dst, dtype=np.int64), np.array(ind, dtype=np.int64), merged)
+    """Plan from index lists and a {source: dst token} mapping."""
+    src = sorted(merged)
+    return MergePlan(n, dst, ind, src, [dst.index(merged[s]) for s in src])
 
 
 # ---------------------------------------------------------------------------
@@ -139,18 +141,46 @@ def test_reduced_count_matches_exact_rational_floor():
 # ---------------------------------------------------------------------------
 
 def test_plan_rejects_overlapping_partition():
-    with pytest.raises(InvalidPlanError, match="partition"):
-        plan(4, [0, 1], [1], {2: 0, 3: 0})
+    for arrays in (
+        ([0, 1], [1], [2, 3], [0, 0]),  # dst and independent share token 1
+        ([0], [1], [2, 2], [0, 0]),  # duplicate source
+    ):
+        with pytest.raises(InvalidPlanError, match="partition"):
+            MergePlan(4, *arrays)
 
 
 def test_plan_rejects_incomplete_partition():
-    with pytest.raises(InvalidPlanError, match="partition"):
-        plan(5, [0], [1], {2: 0, 3: 0})
+    for n, arrays in (
+        (5, ([0], [1], [2, 3], [0, 0])),  # token 4 missing
+        (4, ([-1, 0], [1], [2], [0])),  # negative index
+        (4, ([0], [1], [2, 4], [0, 0])),  # index >= n_in
+    ):
+        with pytest.raises(InvalidPlanError, match="partition"):
+            MergePlan(n, *arrays)
 
 
 def test_plan_rejects_merge_target_outside_dst():
-    with pytest.raises(InvalidPlanError, match="assigned to dst"):
-        plan(4, [0], [1], {2: 1, 3: 0})
+    for arrays in (
+        ([0], [1], [2, 3], [1, 0]),  # token 2 assigned to non-dst token 1
+        ([0], [1], [2, 3], [0, -1]),  # negative position
+        ([0], [1], [2, 3], [0]),  # fewer positions than sources
+        ([0], [1], [2, 3], [0, 0, 0]),  # more positions than sources
+    ):
+        with pytest.raises(InvalidPlanError, match="assigned to dst"):
+            MergePlan(4, *arrays)
+
+
+@pytest.mark.parametrize(
+    "arrays",
+    [
+        ([2, 0], [1], [3], [0]),  # dst
+        ([0], [3, 1], [2], [0]),  # independent
+        ([0], [1], [3, 2], [0, 0]),  # sources
+    ],
+)
+def test_plan_rejects_unsorted_indices(arrays):
+    with pytest.raises(InvalidPlanError, match="ascending"):
+        MergePlan(4, *arrays)
 
 
 def test_plan_rejects_empty_dst():
@@ -295,9 +325,10 @@ def random_plan_and_tokens(seed, n_min=4, n_max=128, channels=8):
     n_ind = int(gen.integers(0, rest.size + 1))
     ind = np.sort(rest[:n_ind])
     merged_src = rest[n_ind:]
-    merged = {int(s): int(dst[gen.integers(0, n_dst)]) for s in merged_src}
+    merged_pos = np.array([gen.integers(0, n_dst) for _ in merged_src], dtype=np.int64)
+    order = np.argsort(merged_src)
     tokens = TokenMatrix(gen.standard_normal((n, channels)))
-    return tokens, MergePlan(n, dst, ind, merged)
+    return tokens, MergePlan(n, dst, ind, merged_src[order], merged_pos[order])
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -305,7 +336,7 @@ def test_group_means_match_float64_oracle(seed):
     tokens, p = random_plan_and_tokens(seed)
     out = apply_merge(tokens, p)
     for pos, d in enumerate(p.dst_indices):
-        group = [d] + [s for s, t in p.merged_assignment.items() if t == d]
+        group = [d, *p.merged_sources[p.merged_targets == d]]
         expected = tokens.data[group].mean(axis=0)
         np.testing.assert_allclose(out.data[pos], expected, rtol=1e-6)
 
@@ -318,7 +349,7 @@ def test_unmerge_restores_count_and_placement(seed):
     restored = apply_unmerge(merged, p)
     assert restored.n_tokens == tokens.n_tokens
     n_dst = p.dst_indices.size
-    for s, d in p.merged_assignment.items():
+    for s, d in zip(p.merged_sources, p.merged_targets):
         pos = int(np.flatnonzero(p.dst_indices == d)[0])
         np.testing.assert_array_equal(restored.data[s], merged.data[pos])
     for j, i in enumerate(p.independent_indices):
@@ -334,7 +365,7 @@ def test_prune_agrees_with_merge_on_singleton_groups(seed):
     perm = gen.permutation(n)
     dst = np.sort(perm[:n_dst])
     ind = np.sort(perm[n_dst:])
-    p = MergePlan(n, dst, ind, {})
+    p = MergePlan(n, dst, ind, [], [])
     tokens = TokenMatrix(gen.standard_normal((n, 4)))
     np.testing.assert_array_equal(
         apply_prune(tokens, p).data, apply_merge(tokens, p).data
