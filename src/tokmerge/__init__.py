@@ -20,7 +20,7 @@ from .core import (
     identity_plan,
 )
 from .importance import guidance_magnitude, rank_tokens, resample_importance
-from .matching import bipartite_match, cosine_kernel, cosine_similarity, paired_cosine
+from .matching import cosine_kernel, cosine_similarity, paired_cosine
 from .rng import Rng
 from .strategy import plan_importance_pool, plan_tome_grid, plan_topk_dst
 from .toydiff import (
@@ -58,7 +58,6 @@ __all__ = [
     "apply_merge",
     "apply_prune",
     "apply_unmerge",
-    "bipartite_match",
     "cfg_predict",
     "combine_guidance",
     "cosine_kernel",

@@ -29,7 +29,6 @@ from .core import (
     apply_merge,
     apply_unmerge,
     counts_for,
-    identity_plan,
     require_finite,
 )
 from .flops import FlopModel
@@ -37,8 +36,9 @@ from .fmap import CaptureRecord, write_capture
 from .importance import rank_tokens
 from .matching import paired_cosine
 from .rng import Rng
-from .strategy import plan_importance_pool, plan_tome_grid, plan_topk_dst
-from .toydiff import MODE_MERGE, NoiseSchedule, ToyDenoiser, attention, sample
+# The unused pool and top-k planners stay bound for tracers that wrap them here.
+from .strategy import plan_importance_pool, plan_tome_grid, plan_topk_dst  # noqa: F401
+from .toydiff import MODE_MERGE, NoiseSchedule, ToyDenoiser, attention, plan_layer, sample
 
 # Stream id offset for the random-assignment control oracle.
 _CONTROL_LAYER = 1 << 19
@@ -82,9 +82,9 @@ class HarnessParams:
 
     def grid(self) -> tuple[int, int]:
         side = math.isqrt(self.tokens)
-        if side * side != self.tokens or side % 2:
+        if side == 0 or side * side != self.tokens or side % 2:
             raise ConfigInfeasibleError(
-                f"--tokens {self.tokens} must be a perfect square with an even side"
+                f"--tokens {self.tokens} must be a positive perfect square with an even side"
             )
         return side, side
 
@@ -152,6 +152,13 @@ def _traced_peak(run: Callable[[], TokenMatrix]) -> tuple[TokenMatrix, int]:
             tracemalloc.stop()
 
 
+def _require_at_least(minimum: int, **counts: int) -> None:
+    """Raise :class:`ConfigInfeasibleError` naming the first count below ``minimum``."""
+    for name, value in counts.items():
+        if value < minimum:
+            raise ConfigInfeasibleError(f"{name}={value} must be >= {minimum}")
+
+
 def _mean_or_nan(values: list[float]) -> float:
     return float(np.mean(values)) if values else float("nan")
 
@@ -174,10 +181,14 @@ def run_bench(
     Infeasible pairs produce a row with status "infeasible" and the run
     continues.
     """
+    for r in ratios:
+        require_finite(ratio=r)
+    _require_at_least(1, n_seeds=n_seeds, repeats=repeats)
+    _require_at_least(0, warmups=warmups)
     grid = params.grid()
     model = params.model()
     schedule = params.schedule()
-    seeds = [params.seed + i for i in range(max(1, n_seeds))]
+    seeds = [params.seed + i for i in range(n_seeds)]
 
     def timed_run(config: MergeConfig, seed: int) -> tuple[TokenMatrix, float, int]:
         def run() -> TokenMatrix:
@@ -265,6 +276,8 @@ def run_compare(
     """
     if len(strategies) < 2:
         raise ConfigInfeasibleError("compare needs at least 2 strategies")
+    require_finite(ratio=ratio)
+    _require_at_least(1, n_seeds=n_seeds, n_conditions=n_conditions)
     grid = params.grid()
     model = params.model(n_classes=max(8, n_conditions))
     schedule = params.schedule()
@@ -371,30 +384,21 @@ def run_capture(
     return len(records), n_bytes
 
 
-def plan_for_record(
-    record: CaptureRecord, strategy: str, config: MergeConfig, base: Rng
-) -> MergePlan:
-    """Rebuild the plan a strategy would produce for one captured record.
+def plan_for_record(record: CaptureRecord, config: MergeConfig, base: Rng) -> MergePlan:
+    """Rebuild the plan ``config.strategy`` would produce for one captured record.
 
-    Uses the record's (timestep, layer) stream of ``base``, so matched seeds
-    reproduce in-loop draws.  The grid strategy infers a square token grid.
+    Plans through :func:`toydiff.plan_layer` on the record's (timestep,
+    layer) stream of ``base``, so matched seeds reproduce in-loop plans.  The
+    grid strategy infers a square token grid.
     """
     n = record.features.shape[0]
-    grid = None
-    side = math.isqrt(n) if n > 0 else 0
-    if side * side == n and side > 0:
-        grid = (side, side)
-    tokens = TokenMatrix(record.features, grid=grid)
-    rng = base.at(record.timestep, record.layer)
-    if strategy == STRATEGY_NONE:
-        return identity_plan(n)
-    if strategy == STRATEGY_GRID:
-        return plan_tome_grid(tokens, config, rng)
-    importance = ImportanceMap(record.guidance, source_timestep=record.timestep + 1)
-    if strategy == STRATEGY_POOL:
-        return plan_importance_pool(tokens, importance, config, rng)
-    assert strategy == STRATEGY_TOPK
-    return plan_topk_dst(tokens, importance, config)
+    side = math.isqrt(n)
+    grid = (side, side) if side > 0 and side * side == n else None
+    importance = None
+    if config.strategy in (STRATEGY_POOL, STRATEGY_TOPK):
+        importance = ImportanceMap(record.guidance, source_timestep=record.timestep + 1)
+    return plan_layer(TokenMatrix(record.features, grid=grid), importance, config,
+                      base.at(record.timestep, record.layer))
 
 
 def run_replay(
@@ -409,6 +413,7 @@ def run_replay(
     reduced-count check.  Malformed records produce an error row and the
     replay continues.
     """
+    require_finite(ratio=ratio)
     rows = []
     base = Rng(params.seed)
     for idx, rec in enumerate(records):
@@ -434,7 +439,7 @@ def run_replay(
                     expected = n
                 else:
                     expected = counts_for(n, config).n_out
-                plan = plan_for_record(rec, strategy, config, base)
+                plan = plan_for_record(rec, config, base)
                 coh = merge_group_cohesion(rec.features, plan)
                 gen = base.at(rec.timestep, _CONTROL_LAYER + rec.layer).generator()
                 control = random_assignment_cohesion(rec.features, plan, gen)

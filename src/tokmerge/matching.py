@@ -1,10 +1,8 @@
-"""Cosine similarity kernels and bipartite matching of src tokens to dst tokens."""
+"""Cosine similarity kernels and argmax linking of src tokens to dst tokens."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from .core import TokenMatrix
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -46,9 +44,7 @@ def paired_cosine(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
     return np.clip(sims, -1.0, 1.0)
 
 
-def link_best(
-    src_rows: np.ndarray, dst_rows: np.ndarray, similarity=cosine_kernel
-) -> tuple[np.ndarray, np.ndarray]:
+def link_best(src_rows: np.ndarray, dst_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Link every src row to its most similar dst row.
 
     Ties break toward the lower dst index.  Returns the per-src dst index and
@@ -62,14 +58,7 @@ def link_best(
         raise ValueError(
             f"channel mismatch: src {src_rows.shape[1]} vs dst {dst_rows.shape[1]}"
         )
-    sims = similarity(src_rows, dst_rows)
+    sims = cosine_kernel(src_rows, dst_rows)
     assignment = np.argmax(sims, axis=1).astype(np.int64)
     scores = sims[np.arange(assignment.size), assignment]
     return assignment, scores
-
-
-def bipartite_match(
-    src: TokenMatrix, dst: TokenMatrix, similarity=cosine_kernel
-) -> tuple[np.ndarray, np.ndarray]:
-    """Assign each src token to its argmax-similarity dst token."""
-    return link_best(src.data, dst.data, similarity)

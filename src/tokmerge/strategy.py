@@ -1,9 +1,10 @@
 """Merge-plan builders: random-grid baseline, importance pool, and top-k ablation.
 
-All three share the same tail: every candidate src token is linked to its
-most similar dst token, the least-similar links stay independent (up to the
-count budget), and everything else merges into its linked dst.  They differ
-in how dst tokens are chosen and in which tokens may become independent.
+Each planner only chooses its dst tokens; :func:`_plan_from_dst` does the
+rest for all three.  Every other token is linked to its most similar dst,
+the least-similar links stay independent (up to the count budget), and
+everything else merges into its linked dst.  The planners differ in how dst
+tokens are chosen and in which tokens may become independent.
 """
 
 from __future__ import annotations
@@ -21,36 +22,37 @@ from .core import (
     counts_for,
 )
 from .importance import rank_tokens
-from .matching import cosine_kernel, link_best
+from .matching import link_best
 from .rng import Rng
 
 _GRID_DST_FRACTION = 0.25  # one dst per 2x2 cell
 
 
-def _assemble_plan(
-    n: int,
+def _plan_from_dst(
+    tokens: TokenMatrix,
     dst: np.ndarray,
-    src: np.ndarray,
-    assignment: np.ndarray,
-    independent_positions: np.ndarray,
+    n_independent: int,
+    eligible: np.ndarray | None = None,
 ) -> MergePlan:
-    """Build a plan from sorted dst and src indices and each src's dst position."""
+    """Link every non-dst token to its most similar of the sorted ``dst``.
+
+    The ``n_independent`` least-similar src tokens among ``eligible`` (a
+    boolean mask over all tokens; every src token when None) stay
+    independent, ties keeping the lower index; the others merge.
+    """
+    n = tokens.n_tokens
+    src_mask = np.ones(n, dtype=bool)
+    src_mask[dst] = False
+    src = np.flatnonzero(src_mask)
+    assignment, scores = link_best(tokens.data[src], tokens.data[dst])
+    candidates = np.arange(src.size) if eligible is None else np.flatnonzero(eligible[src])
+    chosen = candidates[np.argsort(scores[candidates], kind="stable")[:n_independent]]
     ind_mask = np.zeros(src.size, dtype=bool)
-    ind_mask[independent_positions] = True
+    ind_mask[chosen] = True
     return MergePlan(n, dst, src[ind_mask], src[~ind_mask], assignment[~ind_mask])
 
 
-def _least_similar(scores: np.ndarray, count: int) -> np.ndarray:
-    """Positions of the ``count`` lowest scores; ties keep the lower position."""
-    return np.argsort(scores, kind="stable")[:count]
-
-
-def plan_tome_grid(
-    tokens: TokenMatrix,
-    config: MergeConfig,
-    rng: Rng,
-    similarity=cosine_kernel,
-) -> MergePlan:
+def plan_tome_grid(tokens: TokenMatrix, config: MergeConfig, rng: Rng) -> MergePlan:
     """Random-grid baseline: one dst per 2x2 cell, merge the most similar src.
 
     The dst fraction is pinned at 1/4 by the cell layout regardless of
@@ -63,8 +65,7 @@ def plan_tome_grid(
     h, w = tokens.grid
     if h % 2 or w % 2:
         raise ValueError(f"grid {tokens.grid} must have even height and width")
-    n = tokens.n_tokens
-    counts = counts_for(n, dataclasses.replace(config, k=_GRID_DST_FRACTION))
+    counts = counts_for(tokens.n_tokens, dataclasses.replace(config, k=_GRID_DST_FRACTION))
 
     ch, cw = h // 2, w // 2
     gen = rng.generator()
@@ -73,13 +74,7 @@ def plan_tome_grid(
     rows = (cell // cw) * 2 + offsets // 2
     cols = (cell % cw) * 2 + offsets % 2
     dst = np.sort(rows * w + cols)
-
-    src_mask = np.ones(n, dtype=bool)
-    src_mask[dst] = False
-    src = np.flatnonzero(src_mask)
-    assignment, scores = link_best(tokens.data[src], tokens.data[dst], similarity)
-    independent_positions = _least_similar(scores, counts.n_independent)
-    return _assemble_plan(n, dst, src, assignment, independent_positions)
+    return _plan_from_dst(tokens, dst, counts.n_independent)
 
 
 def plan_importance_pool(
@@ -87,7 +82,6 @@ def plan_importance_pool(
     importance: ImportanceMap,
     config: MergeConfig,
     rng: Rng,
-    similarity=cosine_kernel,
 ) -> MergePlan:
     """Pool method: dst and independent tokens both come from the importance pool.
 
@@ -113,25 +107,15 @@ def plan_importance_pool(
 
     gen = rng.generator()
     dst = np.sort(gen.choice(pool, size=counts.n_dst, replace=False))
-
-    src_mask = np.ones(n, dtype=bool)
-    src_mask[dst] = False
-    src = np.flatnonzero(src_mask)
-    assignment, scores = link_best(tokens.data[src], tokens.data[dst], similarity)
-
     in_pool = np.zeros(n, dtype=bool)
     in_pool[pool] = True
-    pool_src_positions = np.flatnonzero(in_pool[src])
-    chosen = _least_similar(scores[pool_src_positions], counts.n_independent)
-    independent_positions = pool_src_positions[chosen]
-    return _assemble_plan(n, dst, src, assignment, independent_positions)
+    return _plan_from_dst(tokens, dst, counts.n_independent, eligible=in_pool)
 
 
 def plan_topk_dst(
     tokens: TokenMatrix,
     importance: ImportanceMap,
     config: MergeConfig,
-    similarity=cosine_kernel,
 ) -> MergePlan:
     """Ablation baseline: dst = top importance, independents chosen globally.
 
@@ -144,10 +128,4 @@ def plan_topk_dst(
         raise ValueError(f"importance has {len(importance)} scores for {n} tokens")
     counts = counts_for(n, config)
     dst = np.sort(rank_tokens(importance)[: counts.n_dst])
-
-    src_mask = np.ones(n, dtype=bool)
-    src_mask[dst] = False
-    src = np.flatnonzero(src_mask)
-    assignment, scores = link_best(tokens.data[src], tokens.data[dst], similarity)
-    independent_positions = _least_similar(scores, counts.n_independent)
-    return _assemble_plan(n, dst, src, assignment, independent_positions)
+    return _plan_from_dst(tokens, dst, counts.n_independent)

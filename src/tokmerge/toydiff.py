@@ -26,7 +26,6 @@ from .core import (
     STRATEGY_GRID,
     STRATEGY_NONE,
     STRATEGY_POOL,
-    STRATEGY_TOPK,
     ImportanceMap,
     MergeConfig,
     MergePlan,
@@ -144,6 +143,28 @@ class ScheduledPlan(NamedTuple):
     importance: ImportanceMap | None = None
 
 
+def plan_layer(
+    tokens: TokenMatrix,
+    importance: ImportanceMap | None,
+    config: MergeConfig,
+    rng: Rng,
+) -> MergePlan:
+    """The plan ``config.strategy`` builds for one layer's tokens.
+
+    ``none`` keeps every token.  Grid selection serves ``tome-random-grid``
+    and, lacking an importance map, the importance-driven strategies.  The
+    sampler and replay both plan through here, so matched seeds give the same
+    plans in both.
+    """
+    if config.strategy == STRATEGY_NONE:
+        return identity_plan(tokens.n_tokens)
+    if config.strategy == STRATEGY_GRID or importance is None:
+        return plan_tome_grid(tokens, config, rng)
+    if config.strategy == STRATEGY_POOL:
+        return plan_importance_pool(tokens, importance, config, rng)
+    return plan_topk_dst(tokens, importance, config)
+
+
 def scheduled_plan(
     state: SamplerState,
     step_index: int,
@@ -158,12 +179,10 @@ def scheduled_plan(
     strategies fall back to grid selection -- with a logged diagnostic, never
     an exception -- when no previous-step guidance map is available yet.
     """
-    if config.strategy == STRATEGY_NONE:
-        return ScheduledPlan(identity_plan(layer_tokens.n_tokens), MODE_MERGE)
-    if step_index < config.prune_steps:
+    if config.strategy != STRATEGY_NONE and step_index < config.prune_steps:
         return ScheduledPlan(plan_tome_grid(layer_tokens, config, rng), MODE_PRUNE)
-    if config.strategy == STRATEGY_GRID:
-        return ScheduledPlan(plan_tome_grid(layer_tokens, config, rng), MODE_MERGE)
+    if config.strategy in (STRATEGY_NONE, STRATEGY_GRID):
+        return ScheduledPlan(plan_layer(layer_tokens, None, config, rng), MODE_MERGE)
 
     imp = state.prev_guidance
     if imp is not None and layer_tokens.grid is not None and state.x_t.grid is not None:
@@ -180,15 +199,8 @@ def scheduled_plan(
             step_index,
             state.t,
         )
-        return ScheduledPlan(
-            plan_tome_grid(layer_tokens, config, rng), MODE_MERGE, grid_fallback=True
-        )
-    if config.strategy == STRATEGY_POOL:
-        plan = plan_importance_pool(layer_tokens, imp, config, rng)
-    else:
-        assert config.strategy == STRATEGY_TOPK
-        plan = plan_topk_dst(layer_tokens, imp, config)
-    return ScheduledPlan(plan, MODE_MERGE, importance=imp)
+    plan = plan_layer(layer_tokens, imp, config, rng)
+    return ScheduledPlan(plan, MODE_MERGE, grid_fallback=imp is None, importance=imp)
 
 
 @dataclass(frozen=True)

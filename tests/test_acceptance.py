@@ -22,7 +22,6 @@ from tokmerge import (
     ToyDenoiser,
     apply_merge,
     apply_unmerge,
-    bipartite_match,
     cfg_predict,
     combine_guidance,
     counts_for,
@@ -47,6 +46,7 @@ from tokmerge.fmap import (
     read_capture,
     write_capture,
 )
+from tokmerge.matching import link_best
 
 
 def criterion(name):
@@ -156,7 +156,7 @@ def test_matching_oracle():
         dst = gen.standard_normal((n_dst, c))
         if case % 25 == 0:
             src[int(gen.integers(0, len(src)))] = 0.0
-        assignment, scores = bipartite_match(TokenMatrix(src), TokenMatrix(dst))
+        assignment, scores = link_best(src, dst)
         oracle_assignment, oracle_scores = _oracle_match(src, dst)
         assert np.array_equal(assignment, oracle_assignment), f"case {case}"
         assert np.allclose(scores, oracle_scores, atol=1e-6), f"case {case}"
@@ -403,8 +403,8 @@ def test_fmap_round_trip(tmp_path):
     for strategy in ("importance-pool", "topk-dst", "tome-random-grid"):
         cfg = params.config(strategy, 0.5)
         for live, replayed in zip(live_records, parsed):
-            assert plan_for_record(live, strategy, cfg, base) == plan_for_record(
-                replayed, strategy, cfg, base
+            assert plan_for_record(live, cfg, base) == plan_for_record(
+                replayed, cfg, base
             ), strategy
 
     blob = path.read_bytes()

@@ -1,9 +1,13 @@
+import contextlib
 import csv
+import io
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokmerge import bench
 from tokmerge.bench import (
@@ -24,6 +28,7 @@ from tokmerge.core import ConfigInfeasibleError, MergeConfig, TokenMatrix, ident
 from tokmerge.fmap import CaptureRecord, read_capture, write_capture
 from tokmerge.rng import Rng
 from tokmerge.strategy import plan_importance_pool
+from tokmerge.toydiff import MODE_MERGE, sample
 
 FAST = HarnessParams(tokens=16, channels=8, steps=5, prune_steps=2)
 
@@ -79,6 +84,18 @@ def test_non_finite_setting_is_rejected_by_name(name, value):
             HarnessParams(**{name: value})
 
 
+@pytest.mark.parametrize(
+    "run, kwargs, name",
+    [(run_bench, {"n_seeds": 0}, "n_seeds"), (run_bench, {"repeats": 0}, "repeats"),
+     (run_bench, {"warmups": -1}, "warmups"), (run_compare, {"n_seeds": 0}, "n_seeds"),
+     (run_compare, {"n_conditions": 0}, "n_conditions")],
+)
+def test_count_below_minimum_is_rejected_by_name(run, kwargs, name):
+    with pytest.raises(ConfigInfeasibleError, match=f"^{name}=-?[0-9]+ must be >="):
+        run(["tome-random-grid", "importance-pool"], [0.5] if run is run_bench else 0.5,
+            FAST, **kwargs)
+
+
 def test_bench_flops_decrease_with_ratio():
     rows = run_bench(["tome-random-grid"], [0.3, 0.5, 0.7], FAST,
                      repeats=1, warmups=0)
@@ -87,9 +104,10 @@ def test_bench_flops_decrease_with_ratio():
 
 
 def test_bench_rejects_non_square_token_count():
-    with pytest.raises(Exception, match="square"):
-        run_bench(["importance-pool"], [0.5],
-                  HarnessParams(tokens=60, channels=8, steps=3), repeats=1)
+    for tokens in (60, 0):
+        with pytest.raises(Exception, match="square"):
+            run_bench(["importance-pool"], [0.5],
+                      HarnessParams(tokens=tokens, channels=8, steps=3), repeats=1)
 
 
 def test_compare_reports_all_strategies_with_zero_pool_violations():
@@ -137,8 +155,8 @@ def test_replay_reproduces_plans_bit_exactly(tmp_path):
     cfg = FAST.config("importance-pool", 0.5)
     base = Rng(FAST.seed)
     for rec in records:
-        live = plan_for_record(rec, "importance-pool", cfg, base)
-        again = plan_for_record(rec, "importance-pool", cfg, base)
+        live = plan_for_record(rec, cfg, base)
+        again = plan_for_record(rec, cfg, base)
         assert live == again
         # independent reconstruction from the record fields
         tokens = TokenMatrix(rec.features, grid=(4, 4))
@@ -148,6 +166,28 @@ def test_replay_reproduces_plans_bit_exactly(tmp_path):
         direct = plan_importance_pool(tokens, imp, cfg,
                                       base.at(rec.timestep, rec.layer))
         assert live == direct
+
+
+@pytest.mark.parametrize("strategy", ["tome-random-grid", "importance-pool", "topk-dst"])
+@pytest.mark.parametrize("tokens", [64, 256])
+def test_replay_reproduces_in_loop_plans(tokens, strategy):
+    params = HarnessParams(tokens=tokens, channels=8, steps=4, prune_steps=1)
+    model, schedule = params.model(), params.schedule()
+    checked = 0
+    for seed in range(3):
+        config = params.config(strategy, 0.5, seed)
+        events = []
+        sample(model, schedule, config, params.cfg_scale, 0, Rng(seed), params.grid(),
+               hook=events.append)
+        for ev in events:
+            if ev.mode != MODE_MERGE or ev.grid_fallback:
+                continue
+            guidance = (np.zeros(tokens, dtype=np.float32) if ev.importance is None
+                        else ev.importance.scores.astype(np.float32))
+            record = CaptureRecord(ev.timestep, ev.layer, ev.tokens.data, guidance)
+            assert plan_for_record(record, config, Rng(seed)) == ev.plan
+            checked += 1
+    assert checked == 3 * 3 * 2 * 2  # seeds x merge steps x layers x passes
 
 
 def test_replay_rows_flag_malformed_records(tmp_path):
@@ -247,13 +287,52 @@ def test_cli_exit_codes():
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
-    "flag, name",
-    [("--pool-factor", "pool_factor"), ("--dst-frac", "dst_frac"),
-     ("--cfg-scale", "cfg_scale")],
+    "command, flag, name",
+    [("bench", "--pool-factor", "pool_factor"), ("bench", "--dst-frac", "dst_frac"),
+     ("bench", "--cfg-scale", "cfg_scale"), ("bench", "--ratio", "ratio"),
+     ("compare", "--ratio", "ratio"), ("replay", "--ratio", "ratio")],
+    ids=["--pool-factor-pool_factor", "--dst-frac-dst_frac", "--cfg-scale-cfg_scale",
+         "bench---ratio-ratio", "compare---ratio-ratio", "replay---ratio-ratio"],
 )
-def test_cli_rejects_non_finite_setting_by_name(capsys, flag, name, value):
-    assert cli("bench", f"{flag}={value}", "--tokens", "16", "--steps", "2") == 1
+def test_cli_rejects_non_finite_setting_by_name(capsys, tmp_path, command, flag, name,
+                                                value):
+    cap = tmp_path / "one.fmap"
+    write_capture(cap, [CaptureRecord(2, 0, np.ones((16, 4), dtype=np.float32),
+                                      np.ones(16, dtype=np.float32))])
+    extra = {"compare": ["--seeds", "1", "--conditions", "1"],
+             "replay": ["--input", str(cap)]}.get(command, [])
+    assert cli(command, f"{flag}={value}", "--tokens", "16", "--steps", "2", *extra) == 1
     assert name in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def one_record_capture(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "one.fmap"
+    write_capture(path, [CaptureRecord(2, 0, np.ones((16, 4), dtype=np.float32),
+                                       np.ones(16, dtype=np.float32))])
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(["bench", "compare", "replay"]),
+    tokens=st.sampled_from([0, 15, 16, 36]),
+    steps=st.integers(0, 3),
+    count=st.integers(-1, 2),
+    other_count=st.integers(-1, 2),
+    ratio=st.sampled_from([0.0, 0.5, 0.95, 1.0, -0.1, math.nan, math.inf, -math.inf]),
+)
+def test_cli_fuzzed_settings_exit_without_traceback(one_record_capture, command, tokens,
+                                                   steps, count, other_count, ratio):
+    extra = {
+        "bench": ["--repeats", str(count), "--seeds", str(other_count)],
+        "compare": ["--seeds", str(count), "--conditions", str(other_count)],
+        "replay": ["--input", str(one_record_capture)],
+    }[command]
+    argv = [command, "--tokens", str(tokens), "--steps", str(steps), "--channels", "8",
+            "--prune-steps", "1", f"--ratio={ratio}", *extra]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1)
 
 
 def test_cli_capture_unwritable_path_is_io_error():

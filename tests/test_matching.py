@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tokmerge import TokenMatrix, bipartite_match, cosine_similarity, paired_cosine
+from tokmerge import TokenMatrix, cosine_similarity, paired_cosine
 from tokmerge.matching import link_best
 
 
@@ -57,7 +57,7 @@ def test_cosine_clamped_against_rounding():
 def test_bipartite_hand_instance():
     src = TokenMatrix(np.array([[0.9, 0.1], [0.1, 0.9], [-1.0, 0.0]]))
     dst = TokenMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assignment, scores = bipartite_match(src, dst)
+    assignment, scores = link_best(src.data, dst.data)
     np.testing.assert_array_equal(assignment, [0, 1, 1])
     expected = 0.9 / math.sqrt(0.82)
     np.testing.assert_allclose(scores, [expected, expected, 0.0], atol=1e-12)
@@ -67,14 +67,14 @@ def test_bipartite_single_dst_forces_assignment():
     gen = np.random.default_rng(0)
     src = TokenMatrix(gen.standard_normal((10, 4)))
     dst = TokenMatrix(gen.standard_normal((1, 4)))
-    assignment, _ = bipartite_match(src, dst)
+    assignment, _ = link_best(src.data, dst.data)
     np.testing.assert_array_equal(assignment, np.zeros(10))
 
 
 def test_bipartite_identical_sets_match_their_twins():
     gen = np.random.default_rng(1)
     x = gen.standard_normal((8, 6))
-    assignment, scores = bipartite_match(TokenMatrix(x), TokenMatrix(x.copy()))
+    assignment, scores = link_best(x, x.copy())
     np.testing.assert_array_equal(assignment, np.arange(8))
     np.testing.assert_allclose(scores, np.ones(8), atol=1e-12)
 
@@ -82,7 +82,7 @@ def test_bipartite_identical_sets_match_their_twins():
 def test_bipartite_ties_pick_lowest_dst_index():
     src = TokenMatrix(np.array([[1.0, 1.0]]))
     dst = TokenMatrix(np.array([[2.0, 2.0], [2.0, 2.0]]))
-    assignment, scores = bipartite_match(src, dst)
+    assignment, scores = link_best(src.data, dst.data)
     assert assignment[0] == 0
     assert scores[0] == pytest.approx(1.0)
 
@@ -108,7 +108,7 @@ def test_matches_brute_force_oracle(seed):
     if seed % 5 == 0:  # sprinkle degenerate zero tokens
         src[gen.integers(0, n_src)] = 0.0
         dst[gen.integers(0, n_dst)] = 0.0
-    assignment, scores = bipartite_match(TokenMatrix(src), TokenMatrix(dst))
+    assignment, scores = link_best(src, dst)
     oracle_assignment, oracle_scores = brute_force_match(src, dst)
     np.testing.assert_array_equal(assignment, oracle_assignment)
     np.testing.assert_allclose(scores, oracle_scores, atol=1e-6)
@@ -119,9 +119,9 @@ def test_permutation_of_dst_permutes_assignment(seed):
     gen = np.random.default_rng(seed)
     src = gen.standard_normal((20, 5))
     dst = gen.standard_normal((12, 5))
-    assignment, scores = bipartite_match(TokenMatrix(src), TokenMatrix(dst))
+    assignment, scores = link_best(src, dst)
     perm = gen.permutation(12)
-    a2, s2 = bipartite_match(TokenMatrix(src), TokenMatrix(dst[perm]))
+    a2, s2 = link_best(src, dst[perm])
     np.testing.assert_allclose(s2, scores, atol=1e-12)
     np.testing.assert_array_equal(perm[a2], assignment)
 
@@ -130,7 +130,7 @@ def test_scores_always_within_bounds():
     gen = np.random.default_rng(9)
     src = gen.standard_normal((50, 3)) * 1e6
     dst = gen.standard_normal((20, 3)) * 1e-6
-    _, scores = bipartite_match(TokenMatrix(src), TokenMatrix(dst))
+    _, scores = link_best(src, dst)
     assert np.all(scores <= 1.0) and np.all(scores >= -1.0)
 
 
