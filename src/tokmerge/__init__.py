@@ -20,7 +20,7 @@ from .core import (
     identity_plan,
 )
 from .importance import guidance_magnitude, rank_tokens, resample_importance
-from .matching import cosine_kernel, cosine_similarity, paired_cosine
+from .matching import cosine_similarity, paired_cosine
 from .rng import Rng
 from .strategy import plan_importance_pool, plan_tome_grid, plan_topk_dst
 from .toydiff import (
@@ -60,7 +60,6 @@ __all__ = [
     "apply_unmerge",
     "cfg_predict",
     "combine_guidance",
-    "cosine_kernel",
     "cosine_similarity",
     "counts_for",
     "forward_noise",

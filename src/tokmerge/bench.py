@@ -79,6 +79,13 @@ class HarnessParams:
     def __post_init__(self) -> None:
         require_finite(cfg_scale=self.cfg_scale, dst_frac=self.dst_frac,
                        pool_factor=self.pool_factor)
+        # Every subcommand takes every flag, even where it reads only some
+        # (replay never samples), so all of them are checked here.
+        self.grid()
+        if self.channels < 4 or self.channels % 2:
+            raise ConfigInfeasibleError(f"channels={self.channels} must be even and >= 4")
+        _require_at_least(2, steps=self.steps)
+        _require_at_least(0, prune_steps=self.prune_steps)
 
     def grid(self) -> tuple[int, int]:
         side = math.isqrt(self.tokens)

@@ -1,4 +1,4 @@
-"""Cosine similarity kernels and argmax linking of src tokens to dst tokens."""
+"""Cosine similarity and argmax linking of src tokens to dst tokens."""
 
 from __future__ import annotations
 
@@ -28,12 +28,6 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / np.where(norms > 0.0, norms, 1.0)
 
 
-def cosine_kernel(src_rows: np.ndarray, dst_rows: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarities, shape (n_src, n_dst), computed in float64."""
-    sims = _unit_rows(src_rows) @ _unit_rows(dst_rows).T
-    return np.clip(sims, -1.0, 1.0)
-
-
 def paired_cosine(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
     """Row-wise cosine similarity of two equally shaped stacks of vectors."""
     a = np.asarray(a_rows)
@@ -47,8 +41,9 @@ def paired_cosine(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
 def link_best(src_rows: np.ndarray, dst_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Link every src row to its most similar dst row.
 
-    Ties break toward the lower dst index.  Returns the per-src dst index and
-    the per-src maximum similarity.
+    Similarities are float64 cosines clamped to [-1, 1], and ties break
+    toward the lower dst index.  Returns the per-src dst index and the
+    per-src maximum similarity.
     """
     src_rows = np.asarray(src_rows)
     dst_rows = np.asarray(dst_rows)
@@ -58,7 +53,14 @@ def link_best(src_rows: np.ndarray, dst_rows: np.ndarray) -> tuple[np.ndarray, n
         raise ValueError(
             f"channel mismatch: src {src_rows.shape[1]} vs dst {dst_rows.shape[1]}"
         )
-    sims = cosine_kernel(src_rows, dst_rows)
-    assignment = np.argmax(sims, axis=1).astype(np.int64)
-    scores = sims[np.arange(assignment.size), assignment]
-    return assignment, scores
+    sims = _unit_rows(src_rows) @ _unit_rows(dst_rows).T
+    assignment = np.argmax(sims, axis=1)
+    best = sims[np.arange(sims.shape[0]), assignment]
+    # For a row whose maximum lies in (-1, 1], clamping the matrix first
+    # would not move its first argmax.  Rows that rounding pushed past 1, or
+    # whose every entry is -1 or below, can tie at the clamp, and such ties
+    # go to the lowest dst index: re-take their argmax over the clamped row.
+    redo = ~((best > -1.0) & (best <= 1.0))
+    if redo.any():
+        assignment[redo] = np.argmax(np.clip(sims[redo], -1.0, 1.0), axis=1)
+    return assignment.astype(np.int64), np.clip(best, -1.0, 1.0)

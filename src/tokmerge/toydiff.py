@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -26,6 +26,7 @@ from .core import (
     STRATEGY_GRID,
     STRATEGY_NONE,
     STRATEGY_POOL,
+    _PLAN_ARRAYS,
     ImportanceMap,
     MergeConfig,
     MergePlan,
@@ -143,6 +144,16 @@ class ScheduledPlan(NamedTuple):
     importance: ImportanceMap | None = None
 
 
+@lru_cache(maxsize=16)
+def _shared_identity_plan(n: int) -> MergePlan:
+    # ``none`` asks for this plan at every layer and pass; build it once per
+    # token count and freeze its arrays so the shared copy cannot drift.
+    plan = identity_plan(n)
+    for name in _PLAN_ARRAYS:
+        getattr(plan, name).flags.writeable = False
+    return plan
+
+
 def plan_layer(
     tokens: TokenMatrix,
     importance: ImportanceMap | None,
@@ -157,7 +168,7 @@ def plan_layer(
     plans in both.
     """
     if config.strategy == STRATEGY_NONE:
-        return identity_plan(tokens.n_tokens)
+        return _shared_identity_plan(tokens.n_tokens)
     if config.strategy == STRATEGY_GRID or importance is None:
         return plan_tome_grid(tokens, config, rng)
     if config.strategy == STRATEGY_POOL:
@@ -237,8 +248,10 @@ def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
+    # x * x * x, not x**3: numpy's float32 power is about 100x slower.  It
+    # stays inline, as a named cube would add a live temporary to peak memory.
     c = x.dtype.type(math.sqrt(2.0 / math.pi))
-    return x.dtype.type(0.5) * x * (1.0 + np.tanh(c * (x + x.dtype.type(0.044715) * x**3)))
+    return x.dtype.type(0.5) * x * (1.0 + np.tanh(c * (x + x.dtype.type(0.044715) * (x * x * x))))
 
 
 def attention(

@@ -305,6 +305,24 @@ def test_cli_rejects_non_finite_setting_by_name(capsys, tmp_path, command, flag,
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["bench", "compare", "capture", "replay"])
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--tokens", "15", "tokens"), ("--steps", "0", "steps"), ("--channels", "3", "channels"),
+     ("--prune-steps", "-1", "prune_steps")],
+)
+def test_cli_rejects_bad_shared_setting_by_name(capsys, tmp_path, command, flag, value,
+                                                name):
+    cap = tmp_path / "one.fmap"
+    write_capture(cap, [CaptureRecord(2, 0, np.ones((16, 4), dtype=np.float32),
+                                      np.ones(16, dtype=np.float32))])
+    extra = {"capture": ["--out", str(tmp_path / "out.fmap")],
+             "replay": ["--input", str(cap)]}.get(command, [])
+    assert cli(command, "--tokens", "16", "--steps", "2", flag, value, *extra) == 1
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out.fmap").exists()
+
+
 @pytest.fixture(scope="module")
 def one_record_capture(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "one.fmap"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tokmerge import TokenMatrix, cosine_similarity, paired_cosine
-from tokmerge.matching import link_best
+from tokmerge.matching import _unit_rows, link_best
 
 
 def brute_force_match(src, dst):
@@ -124,6 +124,48 @@ def test_permutation_of_dst_permutes_assignment(seed):
     a2, s2 = link_best(src, dst[perm])
     np.testing.assert_allclose(s2, scores, atol=1e-12)
     np.testing.assert_array_equal(perm[a2], assignment)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_matches_brute_force_oracle_at_the_clamp(sign):
+    # Power-of-two scales leave unit rows bit-identical, so the copies of a
+    # src row tie exactly in both the kernel and the oracle.  Checked are the
+    # rows whose float64 maximum rounds above 1 (parallel copies after two
+    # unrelated dst rows) or to -1 or below (antiparallel copies alone).
+    gen = np.random.default_rng(11)
+    checked = 0
+    for src in gen.standard_normal((40, 1, 24)):
+        copies = sign * np.vstack([0.5 * src, src, 4.0 * src])
+        dst = np.vstack([gen.standard_normal((2, 24)), copies]) if sign > 0 else copies
+        raw = (_unit_rows(src) @ _unit_rows(dst).T).max()
+        if (raw <= 1.0) if sign > 0 else (raw > -1.0):
+            continue
+        checked += 1
+        assignment, scores = link_best(src, dst)
+        oracle_assignment, oracle_scores = brute_force_match(src, dst)
+        assert assignment[0] == oracle_assignment[0] == len(dst) - 3
+        assert scores[0] == sign
+        assert oracle_scores[0] == pytest.approx(sign, abs=1e-12)
+    assert checked > 0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_clamp_ties_pick_lowest_dst_index(sign):
+    # Copies at arbitrary scales differ by an ulp or two around +-1: the
+    # unclamped maximum can sit after a copy that clamps to the same value.
+    moved = 0
+    for seed in range(40):
+        gen = np.random.default_rng(seed)
+        src = gen.standard_normal((1, int(gen.integers(3, 64))))
+        dst = sign * gen.uniform(0.1, 10.0, (6, 1)) * src
+        raw = (_unit_rows(src) @ _unit_rows(dst).T)[0]
+        clamped = np.clip(raw, -1.0, 1.0)
+        lowest = np.flatnonzero(clamped == clamped.max())[0]
+        assignment, scores = link_best(src, dst)
+        assert assignment[0] == lowest
+        assert scores[0] == clamped.max()
+        moved += np.argmax(raw) != lowest
+    assert moved > 0
 
 
 def test_scores_always_within_bounds():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,11 @@ from tokmerge import (
     cfg_predict,
     combine_guidance,
     forward_noise,
+    identity_plan,
     sample,
     scheduled_plan,
 )
-from tokmerge.toydiff import MODE_MERGE, MODE_PRUNE
+from tokmerge.toydiff import MODE_MERGE, MODE_PRUNE, _gelu
 
 
 def small_model(channels=8, seed=0):
@@ -205,6 +208,18 @@ def test_scheduler_strategy_none_merges_nothing():
         sp = scheduled_plan(state, step, state.x_t, cfg, Rng(0).at(5, 0))
         assert sp.plan.n_merged == 0
         assert sp.plan.n_out == state.x_t.n_tokens
+        assert sp.plan == identity_plan(state.x_t.n_tokens)
+
+
+def test_sample_strategy_none_shares_one_frozen_identity_plan():
+    events = []
+    sample(small_model(), NoiseSchedule.linear(4), MergeConfig("none", r=0.0), 7.5, 1,
+           Rng(0), (4, 4), hook=events.append)
+    assert len(events) == 16
+    assert all(ev.plan == identity_plan(16) for ev in events)
+    assert all(ev.plan is events[0].plan for ev in events)
+    with pytest.raises(ValueError, match="read-only"):
+        events[0].plan.dst_indices[0] = 1
 
 
 def test_scheduler_grid_strategy_never_needs_guidance():
@@ -326,3 +341,12 @@ def test_denoiser_output_shape_matches_input():
     x = TokenMatrix(np.random.default_rng(0).standard_normal((9, 12)).astype(np.float32))
     out = model.forward(x, 3, 2)
     assert out.data.shape == (9, 12)
+
+
+def test_gelu_float32_tracks_float64_reference():
+    x = np.linspace(-50.0, 50.0, 400_001, dtype=np.float32)
+    wide = x.astype(np.float64)
+    ref = 0.5 * wide * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (wide + 0.044715 * wide**3)))
+    out = _gelu(x)
+    assert out.dtype == np.float32
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6)
