@@ -11,7 +11,6 @@ from .core import (
     InvalidPlanError,
     MergeConfig,
     MergePlan,
-    PlanCounts,
     TokenMatrix,
     apply_merge,
     apply_prune,
@@ -20,13 +19,12 @@ from .core import (
     identity_plan,
 )
 from .importance import guidance_magnitude, rank_tokens, resample_importance
-from .matching import cosine_similarity, paired_cosine
+from .matching import paired_cosine
 from .rng import Rng
 from .strategy import plan_importance_pool, plan_tome_grid, plan_topk_dst
 from .toydiff import (
     NoiseSchedule,
     SamplerState,
-    ScheduledPlan,
     ToyDenoiser,
     cfg_predict,
     combine_guidance,
@@ -49,10 +47,8 @@ __all__ = [
     "MergeConfig",
     "MergePlan",
     "NoiseSchedule",
-    "PlanCounts",
     "Rng",
     "SamplerState",
-    "ScheduledPlan",
     "TokenMatrix",
     "ToyDenoiser",
     "apply_merge",
@@ -60,7 +56,6 @@ __all__ = [
     "apply_unmerge",
     "cfg_predict",
     "combine_guidance",
-    "cosine_similarity",
     "counts_for",
     "forward_noise",
     "guidance_magnitude",

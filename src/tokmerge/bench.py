@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import toydiff
 from .core import (
     STRATEGY_GRID,
     STRATEGY_NONE,
@@ -26,8 +27,6 @@ from .core import (
     MergeConfig,
     MergePlan,
     TokenMatrix,
-    apply_merge,
-    apply_unmerge,
     counts_for,
     require_finite,
 )
@@ -36,9 +35,9 @@ from .fmap import CaptureRecord, write_capture
 from .importance import rank_tokens
 from .matching import paired_cosine
 from .rng import Rng
-# The unused pool and top-k planners stay bound for tracers that wrap them here.
+# Unused here, but bound so that tracers can wrap the planners in this module.
 from .strategy import plan_importance_pool, plan_tome_grid, plan_topk_dst  # noqa: F401
-from .toydiff import MODE_MERGE, NoiseSchedule, ToyDenoiser, attention, plan_layer, sample
+from .toydiff import MODE_MERGE, NoiseSchedule, ToyDenoiser, sample
 
 # Stream id offset for the random-assignment control oracle.
 _CONTROL_LAYER = 1 << 19
@@ -86,6 +85,7 @@ class HarnessParams:
             raise ConfigInfeasibleError(f"channels={self.channels} must be even and >= 4")
         _require_at_least(2, steps=self.steps)
         _require_at_least(0, prune_steps=self.prune_steps)
+        self.config(STRATEGY_NONE, 0.0)  # the merge settings every config shares
 
     def grid(self) -> tuple[int, int]:
         side = math.isqrt(self.tokens)
@@ -112,23 +112,22 @@ class HarnessParams:
         return NoiseSchedule.linear(self.steps)
 
 
-def merge_group_cohesion(data: np.ndarray, plan: MergePlan) -> float | None:
-    """Mean cosine similarity of each merged token to its assigned dst."""
+def merge_cohesion(
+    data: np.ndarray, plan: MergePlan, control: Rng
+) -> tuple[float, float] | None:
+    """Merge-group cohesion and its random-assignment control, or None if nothing merges.
+
+    Cohesion is the mean cosine similarity of each merged token to its
+    assigned dst.  The control is the same mean when each merged token is
+    assigned a dst drawn at random from ``control``'s stream.
+    """
     if plan.n_merged == 0:
         return None
-    sims = paired_cosine(data[plan.merged_sources], data[plan.merged_targets])
-    return float(sims.mean())
-
-
-def random_assignment_cohesion(
-    data: np.ndarray, plan: MergePlan, gen: np.random.Generator
-) -> float | None:
-    """Control oracle: cohesion if merged tokens were assigned to random dst."""
-    if plan.n_merged == 0:
-        return None
-    targets = plan.dst_indices[gen.integers(0, plan.dst_indices.size, plan.n_merged)]
-    sims = paired_cosine(data[plan.merged_sources], data[targets])
-    return float(sims.mean())
+    sources = data[plan.merged_sources]
+    gen = control.generator()
+    random_targets = plan.dst_indices[gen.integers(0, plan.dst_indices.size, plan.n_merged)]
+    return (float(paired_cosine(sources, data[plan.merged_targets]).mean()),
+            float(paired_cosine(sources, data[random_targets]).mean()))
 
 
 def _pool_violations(tokens: TokenMatrix, importance: ImportanceMap, plan: MergePlan,
@@ -159,6 +158,38 @@ def _traced_peak(run: Callable[[], TokenMatrix]) -> tuple[TokenMatrix, int]:
             tracemalloc.stop()
 
 
+def _median_seconds(call: Callable[[], object], repeats: int, warmups: int) -> float:
+    """Median wall-clock seconds of ``repeats`` calls that follow ``warmups`` untimed ones."""
+    for _ in range(warmups):
+        call()
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def _trajectories(params: HarnessParams,
+                  model: ToyDenoiser) -> Callable[..., Callable[[], TokenMatrix]]:
+    """``trajectory(strategy, ratio, seed, condition, hook=None)``: a thunk that
+    samples one matched-seed trajectory of ``model``.
+
+    The config is built before the thunk, which calls only :func:`sample`
+    (looked up at call time), so a memory trace of the thunk sees only the
+    sampler.
+    """
+    schedule, grid = params.schedule(), params.grid()
+
+    def trajectory(strategy: str, ratio: float, seed: int, condition: int,
+                   hook: Callable | None = None) -> Callable[[], TokenMatrix]:
+        config = params.config(strategy, ratio, seed)
+        return lambda: sample(model, schedule, config, params.cfg_scale, condition,
+                              Rng(seed), grid, hook=hook)
+
+    return trajectory
+
+
 def _require_at_least(minimum: int, **counts: int) -> None:
     """Raise :class:`ConfigInfeasibleError` naming the first count below ``minimum``."""
     for name, value in counts.items():
@@ -179,7 +210,7 @@ def run_bench(
     warmups: int = 2,
     condition: int = 0,
 ) -> list[dict]:
-    """One CSV row per (strategy, ratio) pair plus the unmerged baseline row.
+    """One CSV row for the unmerged baseline, then one per (strategy, ratio) pair.
 
     Latency is the median full-trajectory wall clock over ``repeats`` untraced
     runs (after ``warmups``) divided by the step count; peak memory comes from
@@ -192,79 +223,41 @@ def run_bench(
         require_finite(ratio=r)
     _require_at_least(1, n_seeds=n_seeds, repeats=repeats)
     _require_at_least(0, warmups=warmups)
-    grid = params.grid()
     model = params.model()
-    schedule = params.schedule()
-    seeds = [params.seed + i for i in range(n_seeds)]
-
-    def timed_run(config: MergeConfig, seed: int) -> tuple[TokenMatrix, float, int]:
-        def run() -> TokenMatrix:
-            return sample(model, schedule, config, params.cfg_scale, condition,
-                          Rng(seed), grid)
-
-        times = []
-        for _ in range(warmups + repeats):
-            t0 = time.perf_counter()
-            run()
-            times.append(time.perf_counter() - t0)
-        out, peak = _traced_peak(run)
-        return out, statistics.median(times[warmups:]), peak
-
+    trajectory = _trajectories(params, model)
     flop = FlopModel(params.tokens, params.channels, model.n_hidden,
                      n_blocks=model.n_blocks)
-
-    baselines = {}
-    base_cfg = params.config(STRATEGY_NONE, 0.0, seeds[0])
-    base_out, base_latency, base_peak = timed_run(base_cfg, seeds[0])
-    baselines[seeds[0]] = base_out
-    for s in seeds[1:]:
-        baselines[s] = sample(model, schedule, params.config(STRATEGY_NONE, 0.0, s),
-                              params.cfg_scale, condition, Rng(s), grid)
-
-    def row(strategy, r, **fields):
-        base = {c: "" for c in BENCH_COLUMNS}
-        base.update(
+    seeds = [params.seed + i for i in range(n_seeds)]
+    pairs = [(STRATEGY_NONE, 0.0)]
+    pairs += [(s, r) for s in strategies if s != STRATEGY_NONE for r in ratios]
+    rows = []
+    for strategy, r in pairs:
+        row = dict.fromkeys(BENCH_COLUMNS, "")
+        row.update(
             strategy=strategy, r=r, k=params.dst_frac, p=params.pool_factor,
             prune_steps=params.prune_steps, steps=params.steps,
             tokens=params.tokens, channels=params.channels, status="ok",
         )
-        base.update(fields)
-        return base
-
-    rows = [
-        row(
-            STRATEGY_NONE, 0.0,
-            flops_per_step=flop.step_flops(),
-            latency_step_s=base_latency / params.steps,
-            peak_mem_bytes=base_peak,
-            mse_vs_baseline=0.0,
-        )
-    ]
-    for strategy in strategies:
-        if strategy == STRATEGY_NONE:
-            continue
-        for r in ratios:
-            try:
-                config = params.config(strategy, r, seeds[0])
-                counts = counts_for(params.tokens, config)
-                out, latency, peak = timed_run(config, seeds[0])
-                mses = [_mse(out, baselines[seeds[0]])]
-                for s in seeds[1:]:
-                    extra = sample(model, schedule, params.config(strategy, r, s),
-                                   params.cfg_scale, condition, Rng(s), grid)
-                    mses.append(_mse(extra, baselines[s]))
-            except ConfigInfeasibleError as exc:
-                rows.append(row(strategy, r, status=f"infeasible: {exc}"))
-                continue
-            rows.append(
-                row(
-                    strategy, r,
-                    flops_per_step=flop.step_flops(counts.n_out),
-                    latency_step_s=latency / params.steps,
-                    peak_mem_bytes=peak,
-                    mse_vs_baseline=float(np.mean(mses)),
-                )
+        try:
+            n_out = params.tokens
+            if strategy != STRATEGY_NONE:
+                n_out = counts_for(params.tokens, params.config(strategy, r)).n_out
+            first = trajectory(strategy, r, seeds[0], condition)
+            latency = _median_seconds(first, repeats, warmups)
+            out, peak = _traced_peak(first)
+            outs = [out] + [trajectory(strategy, r, s, condition)() for s in seeds[1:]]
+        except ConfigInfeasibleError as exc:
+            row["status"] = f"infeasible: {exc}"
+        else:
+            if strategy == STRATEGY_NONE:
+                baselines = outs
+            row.update(
+                flops_per_step=flop.step_flops(n_out),
+                latency_step_s=latency / params.steps,
+                peak_mem_bytes=peak,
+                mse_vs_baseline=float(np.mean([_mse(o, b) for o, b in zip(outs, baselines)])),
             )
+        rows.append(row)
     return rows
 
 
@@ -285,53 +278,36 @@ def run_compare(
         raise ConfigInfeasibleError("compare needs at least 2 strategies")
     require_finite(ratio=ratio)
     _require_at_least(1, n_seeds=n_seeds, n_conditions=n_conditions)
-    grid = params.grid()
-    model = params.model(n_classes=max(8, n_conditions))
-    schedule = params.schedule()
-
-    baselines: dict[tuple[int, int], TokenMatrix] = {}
-    for s in range(n_seeds):
-        for cond in range(n_conditions):
-            seed = params.seed + s
-            baselines[(s, cond)] = sample(
-                model, schedule, params.config(STRATEGY_NONE, 0.0, seed),
-                params.cfg_scale, cond, Rng(seed), grid,
-            )
+    trajectory = _trajectories(params, params.model(n_classes=max(8, n_conditions)))
+    cases = [(params.seed + s, cond) for s in range(n_seeds) for cond in range(n_conditions)]
+    baselines = {case: trajectory(STRATEGY_NONE, 0.0, *case)() for case in cases}
 
     rows = []
     for strategy in strategies:
         mses: list[float] = []
-        cohesions: list[float] = []
-        controls: list[float] = []
+        cohesions: list[tuple[float, float]] = []
         violations = 0
         status = "ok"
         try:
-            for s in range(n_seeds):
-                for cond in range(n_conditions):
-                    seed = params.seed + s
-                    config = params.config(strategy, ratio, seed)
-                    events = []
-                    out = sample(model, schedule, config, params.cfg_scale, cond,
-                                 Rng(seed), grid, hook=events.append)
-                    mses.append(_mse(out, baselines[(s, cond)]))
-                    for ev in events:
-                        coh = merge_group_cohesion(ev.tokens.data, ev.plan)
-                        if coh is not None:
-                            cohesions.append(coh)
-                            gen = Rng(seed).at(ev.timestep,
-                                               _CONTROL_LAYER + ev.layer).generator()
-                            controls.append(
-                                random_assignment_cohesion(ev.tokens.data, ev.plan, gen)
-                            )
-                        if (
-                            strategy == STRATEGY_POOL
-                            and ev.mode == MODE_MERGE
-                            and not ev.grid_fallback
-                            and ev.importance is not None
-                        ):
-                            violations += _pool_violations(
-                                ev.tokens, ev.importance, ev.plan, config
-                            )
+            config = params.config(strategy, ratio)
+            for seed, cond in cases:
+                events = []
+                out = trajectory(strategy, ratio, seed, cond, events.append)()
+                mses.append(_mse(out, baselines[seed, cond]))
+                for ev in events:
+                    coh = merge_cohesion(ev.tokens.data, ev.plan,
+                                         Rng(seed).at(ev.timestep, _CONTROL_LAYER + ev.layer))
+                    if coh is not None:
+                        cohesions.append(coh)
+                    if (
+                        strategy == STRATEGY_POOL
+                        and ev.mode == MODE_MERGE
+                        and not ev.grid_fallback
+                        and ev.importance is not None
+                    ):
+                        violations += _pool_violations(
+                            ev.tokens, ev.importance, ev.plan, config
+                        )
         except ConfigInfeasibleError as exc:
             status = f"infeasible: {exc}"
         rows.append(
@@ -346,8 +322,8 @@ def run_compare(
                 "mse_median": float(np.median(mses)) if mses else float("nan"),
                 "mse_p95": float(np.percentile(mses, 95)) if mses else float("nan"),
                 "pool_violations": violations,
-                "homogeneity_mean": _mean_or_nan(cohesions),
-                "homogeneity_random": _mean_or_nan(controls),
+                "homogeneity_mean": _mean_or_nan([coh for coh, _ in cohesions]),
+                "homogeneity_random": _mean_or_nan([ctl for _, ctl in cohesions]),
                 "status": status,
             }
         )
@@ -364,14 +340,9 @@ def run_capture(
     (zeros at the first step, where no previous-step map exists yet).
     Returns (record count, bytes written).
     """
-    grid = params.grid()
-    model = params.model()
-    schedule = params.schedule()
     events = []
-    sample(
-        model, schedule, params.config(STRATEGY_NONE, 0.0), params.cfg_scale,
-        condition, Rng(params.seed), grid, hook=events.append,
-    )
+    trajectory = _trajectories(params, params.model())
+    trajectory(STRATEGY_NONE, 0.0, params.seed, condition, events.append)()
     records = []
     for ev in events:
         if ev.pass_id != "cond":
@@ -404,8 +375,8 @@ def plan_for_record(record: CaptureRecord, config: MergeConfig, base: Rng) -> Me
     importance = None
     if config.strategy in (STRATEGY_POOL, STRATEGY_TOPK):
         importance = ImportanceMap(record.guidance, source_timestep=record.timestep + 1)
-    return plan_layer(TokenMatrix(record.features, grid=grid), importance, config,
-                      base.at(record.timestep, record.layer))
+    return toydiff.plan_layer(TokenMatrix(record.features, grid=grid), importance, config,
+                              base.at(record.timestep, record.layer))
 
 
 def run_replay(
@@ -426,20 +397,9 @@ def run_replay(
     for idx, rec in enumerate(records):
         n, c = rec.features.shape
         for strategy in strategies:
-            row = {
-                "record": idx,
-                "timestep": rec.timestep,
-                "layer": rec.layer,
-                "n_tokens": n,
-                "n_channels": c,
-                "strategy": strategy,
-                "expected_n_out": "",
-                "actual_n_out": "",
-                "count_ok": "",
-                "homogeneity": "",
-                "homogeneity_random": "",
-                "status": "ok",
-            }
+            row = dict.fromkeys(REPLAY_COLUMNS, "")
+            row.update(record=idx, timestep=rec.timestep, layer=rec.layer, n_tokens=n,
+                       n_channels=c, strategy=strategy, status="ok")
             try:
                 config = params.config(strategy, ratio)
                 if strategy == STRATEGY_NONE:
@@ -447,16 +407,12 @@ def run_replay(
                 else:
                     expected = counts_for(n, config).n_out
                 plan = plan_for_record(rec, config, base)
-                coh = merge_group_cohesion(rec.features, plan)
-                gen = base.at(rec.timestep, _CONTROL_LAYER + rec.layer).generator()
-                control = random_assignment_cohesion(rec.features, plan, gen)
-                row.update(
-                    expected_n_out=expected,
-                    actual_n_out=plan.n_out,
-                    count_ok=plan.n_out == expected,
-                    homogeneity="" if coh is None else coh,
-                    homogeneity_random="" if control is None else control,
-                )
+                coh = merge_cohesion(rec.features, plan,
+                                     base.at(rec.timestep, _CONTROL_LAYER + rec.layer))
+                row.update(expected_n_out=expected, actual_n_out=plan.n_out,
+                           count_ok=plan.n_out == expected)
+                if coh is not None:
+                    row.update(homogeneity=coh[0], homogeneity_random=coh[1])
             except (ValueError, ConfigInfeasibleError) as exc:
                 row["status"] = f"error: {exc}"
             rows.append(row)
@@ -471,39 +427,22 @@ def measure_attention_latency(
     repeats: int = 5,
     warmups: int = 2,
 ) -> float:
-    """Median seconds for one attention layer at the given merge ratio.
+    """Median seconds for one attention-layer step of the sampler at the given merge ratio.
 
-    ratio > 0 times the full pipeline (plan build, merge, attention on the
-    reduced set, unmerge); ratio == 0 times plain attention, matching the
-    engine's bypass path.
+    Each call plans through :func:`toydiff.plan_layer` (``none`` at ratio 0,
+    grid selection otherwise) and runs :func:`toydiff.merged_attention` on a
+    :class:`ToyDenoiser` block: plan build, merge, attention on the reduced
+    set and unmerge, or plain attention through the engine's bypass at ratio 0.
     """
     side = math.isqrt(n_tokens)
-    if side * side != n_tokens or side % 2:
-        raise ConfigInfeasibleError(
-            f"n_tokens {n_tokens} must be a perfect square with an even side"
-        )
-    gen = Rng(seed).at(0, 0).generator()
-    x = gen.standard_normal((n_tokens, n_channels), dtype=np.float32)
-    wq, wk, wv, wo = (
-        gen.standard_normal((n_channels, n_channels), dtype=np.float32)
-        * np.float32(0.02)
-        for _ in range(4)
-    )
+    x = Rng(seed).at(0, 0).generator().standard_normal((n_tokens, n_channels),
+                                                       dtype=np.float32)
     tokens = TokenMatrix(x, grid=(side, side))
-    config = None if ratio == 0.0 else MergeConfig(STRATEGY_GRID, ratio, seed=seed)
+    blk = ToyDenoiser(n_channels, seed=seed).blocks[0]
+    config = MergeConfig(STRATEGY_GRID if ratio else STRATEGY_NONE, ratio)
 
     def call():
-        if config is None:
-            attention(x, wq, wk, wv, wo)
-            return
-        plan = plan_tome_grid(tokens, config, Rng(seed).at(1, 0))
-        reduced = apply_merge(tokens, plan)
-        a = attention(reduced.data, wq, wk, wv, wo)
-        apply_unmerge(TokenMatrix(a), plan)
+        plan = toydiff.plan_layer(tokens, None, config, Rng(seed).at(1, 0))
+        toydiff.merged_attention(x, blk, plan, MODE_MERGE)
 
-    times = []
-    for _ in range(warmups + repeats):
-        t0 = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times[warmups:])
+    return _median_seconds(call, repeats, warmups)

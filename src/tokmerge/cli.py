@@ -64,8 +64,6 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
                        default=default,
                        help=f"{_SHARED_HELP[f.name]} (default %(default)s)")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=["csv"], default="csv",
-                   help="report format (default %(default)s)")
 
 
 def _strategy_flag(p: argparse.ArgumentParser, default: list[str]) -> None:
@@ -228,3 +226,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

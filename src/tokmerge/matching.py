@@ -5,23 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two vectors, clamped to [-1, 1].
-
-    A zero-norm vector compares as 0 to everything, so degenerate tokens
-    never poison an argmax with NaN.
-    """
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"vector shapes differ: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     norms = np.linalg.norm(x, axis=1, keepdims=True)
@@ -29,7 +12,11 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
 
 
 def paired_cosine(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
-    """Row-wise cosine similarity of two equally shaped stacks of vectors."""
+    """Row-wise cosine similarity of two equally shaped stacks of vectors.
+
+    Similarities are clamped to [-1, 1], and a zero-norm row compares as 0
+    to everything, so degenerate tokens never poison an argmax with NaN.
+    """
     a = np.asarray(a_rows)
     b = np.asarray(b_rows)
     if a.shape != b.shape:

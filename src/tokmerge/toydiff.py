@@ -288,6 +288,21 @@ class _Block:
     b2: np.ndarray
 
 
+def merged_attention(hn: np.ndarray, blk: _Block, plan: MergePlan, mode: str) -> np.ndarray:
+    """``blk``'s attention over the token set ``plan`` reduces ``hn`` to, unmerged.
+
+    ``mode`` picks the reduction: prune drops merged rows, merge averages
+    them into their dst.  A plan that merges nothing runs attention
+    unpermuted, so the engine is bit-transparent (reductions are not
+    permutation-bit-stable).
+    """
+    if plan.n_merged == 0:
+        return attention(hn, blk.wq, blk.wk, blk.wv, blk.wo)
+    reduce = apply_prune if mode == MODE_PRUNE else apply_merge
+    a = attention(reduce(TokenMatrix(hn), plan).data, blk.wq, blk.wk, blk.wv, blk.wo)
+    return apply_unmerge(TokenMatrix(a), plan).data
+
+
 class ToyDenoiser:
     """A 2-block attention noise predictor with seeded, untrained weights.
 
@@ -400,14 +415,7 @@ class ToyDenoiser:
                     grid_fallback=sp.grid_fallback,
                 )
             )
-        if sp.plan.n_merged == 0:
-            # Nothing to reduce: run attention unpermuted so the engine is
-            # bit-transparent (reductions are not permutation-bit-stable).
-            return attention(hn, blk.wq, blk.wk, blk.wv, blk.wo)
-        reduce = apply_prune if sp.mode == MODE_PRUNE else apply_merge
-        reduced = reduce(TokenMatrix(hn), sp.plan)
-        a = attention(reduced.data, blk.wq, blk.wk, blk.wv, blk.wo)
-        return apply_unmerge(TokenMatrix(a), sp.plan).data
+        return merged_attention(hn, blk, sp.plan, sp.mode)
 
     def forward(
         self,

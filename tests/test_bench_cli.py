@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,15 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokmerge import bench
+import tokmerge
+from tokmerge import bench, toydiff
 from tokmerge.bench import (
     BENCH_COLUMNS,
     COMPARE_COLUMNS,
     REPLAY_COLUMNS,
     HarnessParams,
-    merge_group_cohesion,
+    measure_attention_latency,
+    merge_cohesion,
     plan_for_record,
-    random_assignment_cohesion,
     run_bench,
     run_capture,
     run_compare,
@@ -211,8 +215,30 @@ def test_replay_handles_non_square_grid_strategy():
 def test_cohesion_helpers_on_trivial_plan():
     data = np.random.default_rng(0).standard_normal((8, 4))
     plan = identity_plan(8)
-    assert merge_group_cohesion(data, plan) is None
-    assert random_assignment_cohesion(data, plan, np.random.default_rng(0)) is None
+    assert merge_cohesion(data, plan, Rng(0)) is None
+
+
+@pytest.mark.parametrize("ratio, mode", [(0.0, "none"), (0.5, "tome-random-grid")])
+def test_attention_microbenchmark_runs_the_sampler_layer_step(monkeypatch, ratio, mode):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    real_plan_layer = toydiff.plan_layer
+
+    def plan_layer(tokens, importance, config, rng):
+        assert config.strategy == mode
+        return real_plan_layer(tokens, importance, config, rng)
+
+    monkeypatch.setattr(toydiff, "plan_layer", counted("plan_layer", plan_layer))
+    monkeypatch.setattr(toydiff, "merged_attention",
+                        counted("merged_attention", toydiff.merged_attention))
+    assert measure_attention_latency(16, 8, ratio, repeats=2, warmups=1) > 0.0
+    assert calls == ["plan_layer", "merged_attention"] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +302,16 @@ def test_cli_replay_empty_capture_succeeds(tmp_path):
     out = tmp_path / "replay.csv"
     assert cli("replay", "--input", str(cap), "--out", str(out)) == 0
     assert read_rows(out) == []
+
+
+def test_cli_module_runs_as_a_script():
+    src = os.path.dirname(os.path.dirname(tokmerge.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "tokmerge.cli", "bench", "--tokens", "15"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "--tokens" in proc.stderr
 
 
 def test_cli_exit_codes():
