@@ -4,6 +4,24 @@ from __future__ import annotations
 
 import numpy as np
 
+# Rows per block of the blocked layer kernels (see ``_row_blocks``).
+_ROW_BLOCK = 288
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Split ``range(n)`` into contiguous blocks of ``_ROW_BLOCK`` rows.
+
+    The remainder joins the last block, so every block has 288-575 rows and
+    fewer than 576 rows stay one block.  A blocked row-wise kernel then
+    equals the unblocked one bit for bit on one thread of OpenBLAS 0.3.31
+    (Haswell kernels), whose rounding depends on where a row falls in a
+    call: sgemm differs on calls of fewer than 16 rows, and dgemm, when the
+    columns leave a tail, on row offsets that are not a multiple of 12.  288
+    is a multiple of 48.
+    """
+    starts = [i * _ROW_BLOCK for i in range(max(1, n // _ROW_BLOCK))]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
@@ -40,7 +58,17 @@ def link_best(src_rows: np.ndarray, dst_rows: np.ndarray) -> tuple[np.ndarray, n
         raise ValueError(
             f"channel mismatch: src {src_rows.shape[1]} vs dst {dst_rows.shape[1]}"
         )
-    sims = _unit_rows(src_rows) @ _unit_rows(dst_rows).T
+    # One src block at a time, so no (n_src, n_dst) kernel is built.
+    src_unit = _unit_rows(src_rows)
+    dst_unit_t = _unit_rows(dst_rows).T
+    links = [_link_block(src_unit[rows], dst_unit_t) for rows in _row_blocks(src_unit.shape[0])]
+    assignment, best = links[0] if len(links) == 1 else map(np.concatenate, zip(*links))
+    return assignment.astype(np.int64, copy=False), np.clip(best, -1.0, 1.0)
+
+
+def _link_block(src_unit: np.ndarray, dst_unit_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-src best dst index and unclamped score, from unit rows and unit columns."""
+    sims = src_unit @ dst_unit_t
     assignment = np.argmax(sims, axis=1)
     best = sims[np.arange(sims.shape[0]), assignment]
     # For a row whose maximum lies in (-1, 1], clamping the matrix first
@@ -50,4 +78,4 @@ def link_best(src_rows: np.ndarray, dst_rows: np.ndarray) -> tuple[np.ndarray, n
     redo = ~((best > -1.0) & (best <= 1.0))
     if redo.any():
         assignment[redo] = np.argmax(np.clip(sims[redo], -1.0, 1.0), axis=1)
-    return assignment.astype(np.int64), np.clip(best, -1.0, 1.0)
+    return assignment, best

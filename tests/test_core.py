@@ -341,6 +341,31 @@ def test_group_means_match_float64_oracle(seed):
         np.testing.assert_allclose(out.data[pos], expected, rtol=1e-6)
 
 
+def add_at_merge(data, p):
+    """Group means accumulated one source at a time, in index order."""
+    dst = data[p.dst_indices].astype(np.float64)
+    counts = np.ones(p.dst_indices.size)
+    np.add.at(dst, p.merged_dst_pos, data[p.merged_sources].astype(np.float64))
+    np.add.at(counts, p.merged_dst_pos, 1.0)
+    dst /= counts[:, None]
+    return np.concatenate([dst.astype(data.dtype), data[p.independent_indices]])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_merge_equals_per_source_accumulation(seed):
+    # Float64 sums of float32 rows are exact here, so the summation order
+    # cannot show in float32 output: it must match to the bit.  Float64
+    # tokens may round differently in the last place.
+    tokens, p = random_plan_and_tokens(seed, n_max=600)
+    narrow = (tokens.data * 1e3).astype(np.float32)
+    out = apply_merge(TokenMatrix(narrow), p).data
+    assert out.dtype == np.float32
+    np.testing.assert_array_equal(out.view(np.uint32), add_at_merge(narrow, p).view(np.uint32))
+    np.testing.assert_allclose(
+        apply_merge(tokens, p).data, add_at_merge(tokens.data, p), rtol=0, atol=1e-12
+    )
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_unmerge_restores_count_and_placement(seed):
     tokens, p = random_plan_and_tokens(seed)

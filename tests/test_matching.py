@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokmerge import TokenMatrix, paired_cosine
-from tokmerge.matching import _unit_rows, link_best
+from tokmerge.matching import _row_blocks, _unit_rows, link_best
 
 
 def brute_force_match(src, dst):
@@ -189,3 +195,61 @@ def test_paired_cosine_matches_scalar():
     expected = [float(np.dot(x, y)) / math.sqrt(float(np.dot(x, x)) * float(np.dot(y, y)))
                 for x, y in zip(a, b)]
     np.testing.assert_allclose(paired_cosine(a, b), expected, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Row blocks and the blocked kernel
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=20_000))
+def test_row_blocks_tile_the_range_in_blocks_of_288_to_575_rows(n):
+    blocks = _row_blocks(n)
+    assert blocks[0].start == 0 and blocks[-1].stop == n
+    assert all(b.step is None for b in blocks)
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    if len(blocks) == 1:
+        assert n < 576
+    else:
+        assert all(288 <= b.stop - b.start <= 575 for b in blocks)
+
+
+def reference_link_best(src_rows, dst_rows):
+    """The unblocked kernel: one (n_src, n_dst) matrix, argmax, clamp."""
+    sims = _unit_rows(src_rows) @ _unit_rows(dst_rows).T
+    assignment = np.argmax(sims, axis=1)
+    best = sims[np.arange(sims.shape[0]), assignment]
+    redo = ~((best > -1.0) & (best <= 1.0))
+    if redo.any():
+        assignment[redo] = np.argmax(np.clip(sims[redo], -1.0, 1.0), axis=1)
+    return assignment, np.clip(best, -1.0, 1.0)
+
+
+LINK_COUNTS = (256, 300, 511, 512, 575, 576, 1024, 1100, 1228, 4096)
+
+
+def check_blocked_link_best(n_src):
+    gen = np.random.default_rng(n_src)
+    src = gen.standard_normal((n_src, 64), dtype=np.float32)
+    dst = gen.standard_normal((n_src // 3 + 1, 64), dtype=np.float32)
+    src[::97] = dst[0]  # rows whose best match rounds to (or past) 1
+    assignment, scores = link_best(src, dst)
+    ref_assignment, ref_scores = reference_link_best(src, dst)
+    assert assignment.dtype == np.int64
+    np.testing.assert_array_equal(assignment, ref_assignment)
+    np.testing.assert_array_equal(scores.view(np.uint64), ref_scores.view(np.uint64))
+
+
+def test_blocked_link_best_equals_unblocked_kernel():
+    # With several BLAS threads, dgemm splits the rows of one call by thread,
+    # so the unblocked kernel's own float64 bits depend on the thread count.
+    # Compare on one thread, as the benchmark runs, in a child process: the
+    # thread count is fixed when numpy loads.
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here), str(here.parent / "src"), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path,
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    code = "import test_matching as t\nfor n in t.LINK_COUNTS: t.check_blocked_link_best(n)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stderr

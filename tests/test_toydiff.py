@@ -1,7 +1,11 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokmerge import (
     MergeConfig,
@@ -17,7 +21,18 @@ from tokmerge import (
     sample,
     scheduled_plan,
 )
-from tokmerge.toydiff import MODE_MERGE, MODE_PRUNE, _gelu
+from tokmerge.toydiff import (
+    MODE_MERGE,
+    MODE_PRUNE,
+    _gelu,
+    _layer_norm,
+    _mlp_residual,
+    attention,
+)
+
+# Token counts around the row-block edges: one block (256 to 575), two exact
+# blocks (576) and a remainder folded into the last block (1024 to 4096).
+BLOCKED_COUNTS = (256, 300, 511, 512, 575, 576, 1024, 1100, 1228, 4096)
 
 
 def small_model(channels=8, seed=0):
@@ -350,3 +365,102 @@ def test_gelu_float32_tracks_float64_reference():
     out = _gelu(x)
     assert out.dtype == np.float32
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Blocked layer kernels against the unblocked formulas
+# ---------------------------------------------------------------------------
+
+def reference_layer_norm(x, g, b):
+    mean = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    return (x - mean) / np.sqrt(var + x.dtype.type(1e-5)) * g + b
+
+
+def reference_gelu(x):
+    c = x.dtype.type(math.sqrt(2.0 / math.pi))
+    return x.dtype.type(0.5) * x * (1.0 + np.tanh(c * (x + x.dtype.type(0.044715) * (x * x * x))))
+
+
+def reference_attention(h, wq, wk, wv, wo):
+    q = h @ wq
+    k = h @ wk
+    v = h @ wv
+    s = (q @ k.T) * h.dtype.type(1.0 / math.sqrt(h.shape[1]))
+    s -= s.max(axis=1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
+    return (s @ v) @ wo
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint8), expected.view(np.uint8))
+
+
+def random_block(channels, seed):
+    """A denoiser block with non-trivial norms and biases and peaked attention."""
+    gen = np.random.default_rng(seed)
+    blk = ToyDenoiser(channels, seed=seed).blocks[0]
+
+    def draw(a, scale):
+        return gen.standard_normal(a.shape, dtype=np.float32) * np.float32(scale)
+
+    return dataclasses.replace(
+        blk,
+        wq=draw(blk.wq, 0.3), wk=draw(blk.wk, 0.3), wv=draw(blk.wv, 0.2),
+        ln2_g=1 + draw(blk.ln2_g, 0.1), ln2_b=draw(blk.ln2_b, 0.1),
+        b1=draw(blk.b1, 0.1), b2=draw(blk.b2, 0.1),
+    )
+
+
+@pytest.mark.parametrize("n", BLOCKED_COUNTS)
+def test_blocked_attention_equals_unblocked_formula(n):
+    blk = random_block(64, seed=n)
+    h = np.random.default_rng(n).standard_normal((n, 64), dtype=np.float32)
+    weights = (blk.wq, blk.wk, blk.wv, blk.wo)
+    assert_same_bits(attention(h, *weights), reference_attention(h, *weights))
+
+
+@pytest.mark.parametrize("n", BLOCKED_COUNTS)
+def test_blocked_mlp_residual_equals_unblocked_formula(n):
+    blk = random_block(64, seed=n)
+    h = np.random.default_rng(n).standard_normal((n, 64), dtype=np.float32)
+    hidden = reference_gelu(reference_layer_norm(h, blk.ln2_g, blk.ln2_b) @ blk.w1 + blk.b1)
+    assert_same_bits(_mlp_residual(h, blk), h + hidden @ blk.w2 + blk.b2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=1, max_value=96),
+    st.sampled_from([1e-3, 1.0, 30.0, 1e4]),
+)
+def test_layer_norm_and_gelu_equal_unfused_expressions(seed, rows, cols, scale):
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((rows, cols), dtype=np.float32) * np.float32(scale)
+    g = gen.standard_normal(cols, dtype=np.float32)
+    b = gen.standard_normal(cols, dtype=np.float32)
+    assert_same_bits(_layer_norm(x, g, b), reference_layer_norm(x, g, b))
+    assert_same_bits(_gelu(x), reference_gelu(x))
+
+
+def test_gelu_leaves_its_argument_unchanged():
+    x = np.random.default_rng(4).standard_normal((64, 32), dtype=np.float32)
+    before = x.copy()
+    _gelu(x)
+    assert_same_bits(x, before)
+
+
+def test_attention_peak_memory_below_half_a_score_matrix():
+    n, c = 2048, 64
+    blk = random_block(c, seed=1)
+    h = np.random.default_rng(1).standard_normal((n, c), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        attention(h, blk.wq, blk.wk, blk.wv, blk.wo)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * np.dtype(np.float32).itemsize / 2
