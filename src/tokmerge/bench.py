@@ -73,7 +73,7 @@ class HarnessParams:
     dst_frac: float = MergeConfig.k
     pool_factor: float = MergeConfig.p
     prune_steps: int = MergeConfig.prune_steps
-    seed: int = MergeConfig.seed
+    seed: int = 0
 
     def __post_init__(self) -> None:
         require_finite(cfg_scale=self.cfg_scale, dst_frac=self.dst_frac,
@@ -96,13 +96,13 @@ class HarnessParams:
         return side, side
 
     def config(self, strategy: str, ratio: float, seed: int | None = None) -> MergeConfig:
+        """``strategy`` at ``ratio`` with the shared merge settings.
+
+        ``seed`` is accepted and unused: plans draw from the trajectory's
+        :class:`Rng`, not from the config.
+        """
         return MergeConfig(
-            strategy,
-            ratio,
-            k=self.dst_frac,
-            p=self.pool_factor,
-            prune_steps=self.prune_steps,
-            seed=self.seed if seed is None else seed,
+            strategy, ratio, k=self.dst_frac, p=self.pool_factor, prune_steps=self.prune_steps
         )
 
     def model(self, n_classes: int = 8) -> ToyDenoiser:
@@ -183,7 +183,7 @@ def _trajectories(params: HarnessParams,
 
     def trajectory(strategy: str, ratio: float, seed: int, condition: int,
                    hook: Callable | None = None) -> Callable[[], TokenMatrix]:
-        config = params.config(strategy, ratio, seed)
+        config = params.config(strategy, ratio)
         return lambda: sample(model, schedule, config, params.cfg_scale, condition,
                               Rng(seed), grid, hook=hook)
 

@@ -121,7 +121,6 @@ class MergeConfig:
     k: float = 0.25
     p: float = 0.4
     prune_steps: int = 6
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -144,7 +143,6 @@ class MergeConfig:
         if self.prune_steps < 0:
             raise ConfigInfeasibleError("prune_steps must be >= 0")
         object.__setattr__(self, "prune_steps", int(self.prune_steps))
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 class PlanCounts(NamedTuple):

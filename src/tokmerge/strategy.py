@@ -14,7 +14,6 @@ import dataclasses
 import numpy as np
 
 from .core import (
-    ConfigInfeasibleError,
     ImportanceMap,
     MergeConfig,
     MergePlan,
@@ -95,11 +94,6 @@ def plan_importance_pool(
     if len(importance) != n:
         raise ValueError(f"importance has {len(importance)} scores for {n} tokens")
     counts = counts_for(n, config)
-    if counts.pool_size < counts.n_dst + counts.n_independent:
-        raise ConfigInfeasibleError(
-            f"pool of {counts.pool_size} cannot hold {counts.n_dst} dst "
-            f"+ {counts.n_independent} independent tokens"
-        )
     # Ascending order makes the draw a function of pool membership only, and
     # makes the pool == full-set regime consume the stream exactly like a
     # draw over arange(n).

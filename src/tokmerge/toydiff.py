@@ -36,7 +36,8 @@ from .core import (
     apply_unmerge,
     identity_plan,
 )
-from .importance import guidance_magnitude, resample_importance
+# resample_importance is unused here but stays bound for tools that wrap it.
+from .importance import guidance_magnitude, resample_importance  # noqa: F401
 from .matching import _row_blocks
 from .rng import Rng
 from .strategy import plan_importance_pool, plan_tome_grid, plan_topk_dst
@@ -142,7 +143,6 @@ class ScheduledPlan(NamedTuple):
     plan: MergePlan
     mode: str
     grid_fallback: bool = False
-    importance: ImportanceMap | None = None
 
 
 @lru_cache(maxsize=16)
@@ -188,8 +188,10 @@ def scheduled_plan(
 
     Early steps (``step_index < prune_steps``) prune with grid selection;
     later steps merge with the configured strategy.  Importance-driven
-    strategies fall back to grid selection -- with a logged diagnostic, never
-    an exception -- when no previous-step guidance map is available yet.
+    strategies plan from ``state.prev_guidance`` as is, and fall back to grid
+    selection -- with a logged diagnostic, never an exception -- when no
+    previous-step map is available yet.  A map whose length differs from the
+    layer's token count raises the planner's ``ValueError``.
     """
     if config.strategy != STRATEGY_NONE and step_index < config.prune_steps:
         return ScheduledPlan(plan_tome_grid(layer_tokens, config, rng), MODE_PRUNE)
@@ -197,22 +199,12 @@ def scheduled_plan(
         return ScheduledPlan(plan_layer(layer_tokens, None, config, rng), MODE_MERGE)
 
     imp = state.prev_guidance
-    if imp is not None and layer_tokens.grid is not None and state.x_t.grid is not None:
-        try:
-            imp = resample_importance(imp, state.x_t.grid, layer_tokens.grid)
-        except ValueError as exc:
-            logger.warning("cannot adapt guidance map to layer grid: %s", exc)
-            imp = None
-    elif imp is not None and len(imp) != layer_tokens.n_tokens:
-        imp = None
     if imp is None:
         logger.debug(
-            "no usable guidance at step %d (t=%d); using grid selection",
-            step_index,
-            state.t,
+            "no guidance at step %d (t=%d); using grid selection", step_index, state.t
         )
     plan = plan_layer(layer_tokens, imp, config, rng)
-    return ScheduledPlan(plan, MODE_MERGE, grid_fallback=imp is None, importance=imp)
+    return ScheduledPlan(plan, MODE_MERGE, grid_fallback=imp is None)
 
 
 @dataclass(frozen=True)
@@ -228,18 +220,6 @@ class LayerEvent:
     plan: MergePlan
     mode: str
     grid_fallback: bool
-
-
-@dataclass
-class MergeRuntime:
-    """Everything the denoiser needs to run its layers through the engine."""
-
-    config: MergeConfig
-    rng: Rng
-    state: SamplerState
-    step_index: int
-    hook: Callable[[LayerEvent], None] | None = None
-    pass_id: str = "cond"
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -424,56 +404,31 @@ class ToyDenoiser:
             raise ValueError(f"condition {y} outside [0, {self.n_classes})")
         return self.class_table[y]
 
-    def _attended(
-        self,
-        h: np.ndarray,
-        blk: _Block,
-        layer: int,
-        t: int,
-        grid: tuple[int, int] | None,
-        merge: MergeRuntime | None,
-    ) -> np.ndarray:
-        hn = _layer_norm(h, blk.ln1_g, blk.ln1_b)
-        if merge is None:
-            return attention(hn, blk.wq, blk.wk, blk.wv, blk.wo)
-
-        # Plans are computed on the raw layer input; the reduction is applied
-        # to the normalized operand that attention actually consumes.
-        layer_tokens = TokenMatrix(h, grid=grid)
-        sp = scheduled_plan(
-            merge.state, merge.step_index, layer_tokens, merge.config,
-            merge.rng.at(t, layer),
-        )
-        if merge.hook is not None:
-            merge.hook(
-                LayerEvent(
-                    step_index=merge.step_index,
-                    timestep=t,
-                    layer=layer,
-                    pass_id=merge.pass_id,
-                    tokens=layer_tokens,
-                    importance=sp.importance
-                    if sp.importance is not None
-                    else merge.state.prev_guidance,
-                    plan=sp.plan,
-                    mode=sp.mode,
-                    grid_fallback=sp.grid_fallback,
-                )
-            )
-        return merged_attention(hn, blk, sp.plan, sp.mode)
-
     def forward(
         self,
         tokens: TokenMatrix,
         t: int,
         y: int | None,
-        merge: MergeRuntime | None = None,
+        plan_for: Callable[[int, TokenMatrix], tuple[MergePlan, str]] | None = None,
     ) -> TokenMatrix:
-        """Predict noise for ``tokens`` at timestep ``t`` under condition ``y``."""
+        """Predict noise for ``tokens`` at timestep ``t`` under condition ``y``.
+
+        Without ``plan_for`` every block runs plain attention.  With it, each
+        block asks ``plan_for(layer, layer_tokens)`` for its plan and mode;
+        ``layer_tokens`` is the block's raw input on ``tokens``' grid, and the
+        reduction applies to the normalized operand attention consumes.
+        """
         x = tokens.data.astype(np.float32, copy=False)
         h = x + self._time_embedding(t)[None, :] + self._class_embedding(y)[None, :]
         for layer, blk in enumerate(self.blocks):
-            h = h + self._attended(h, blk, layer, t, tokens.grid, merge)
+            hn = _layer_norm(h, blk.ln1_g, blk.ln1_b)
+            if plan_for is None:
+                h = h + attention(hn, blk.wq, blk.wk, blk.wv, blk.wo)
+            else:
+                h = h + merged_attention(
+                    hn, blk, *plan_for(layer, TokenMatrix(h, grid=tokens.grid))
+                )
+            del hn  # only the residual stays alive through the MLP
             h = _mlp_residual(h, blk)
         out = _layer_norm(h, self.ln_out_g, self.ln_out_b) @ self.w_out + self.b_out
         return TokenMatrix(out, grid=tokens.grid)
@@ -491,15 +446,27 @@ def cfg_predict(
 
     The map is returned so the caller can cache it for the NEXT step's merge
     planning.  When ``config`` and ``rng`` are given, both forward passes run
-    through the merge engine.
+    through the merge engine: every layer plans through ``scheduled_plan`` on
+    its ``(t, layer)`` stream of ``rng`` and reports one :class:`LayerEvent`
+    to ``hook``.
     """
-    def runtime(pass_id: str) -> MergeRuntime | None:
+    def planner(pass_id: str) -> Callable | None:
         if config is None or rng is None:
             return None
-        return MergeRuntime(config, rng, state, step_index, hook, pass_id)
 
-    eps_cond = model.forward(state.x_t, state.t, state.y, runtime("cond"))
-    eps_uncond = model.forward(state.x_t, state.t, None, runtime("uncond"))
+        def plan_for(layer: int, layer_tokens: TokenMatrix) -> tuple[MergePlan, str]:
+            sp = scheduled_plan(
+                state, step_index, layer_tokens, config, rng.at(state.t, layer)
+            )
+            if hook is not None:
+                hook(LayerEvent(step_index, state.t, layer, pass_id, layer_tokens,
+                                state.prev_guidance, sp.plan, sp.mode, sp.grid_fallback))
+            return sp.plan, sp.mode
+
+        return plan_for
+
+    eps_cond = model.forward(state.x_t, state.t, state.y, planner("cond"))
+    eps_uncond = model.forward(state.x_t, state.t, None, planner("uncond"))
     guided = combine_guidance(eps_cond, eps_uncond, state.w)
     guidance = guidance_magnitude(eps_cond, eps_uncond, source_timestep=state.t)
     return guided, guidance
@@ -529,7 +496,6 @@ def sample(
     state = SamplerState(x_t=TokenMatrix(x, grid=grid), t=schedule.T, w=w, y=y)
     for step_index, t in enumerate(range(schedule.T, 0, -1)):
         state.t = t
-        state.x_t = TokenMatrix(x, grid=grid)
         eps, guidance = cfg_predict(state, model, config, rng, step_index, hook)
 
         alpha = np.float32(schedule.alphas[t - 1])
@@ -544,5 +510,6 @@ def sample(
             x = mean + np.float32(math.sqrt(schedule.betas[t - 1])) * z
         else:
             x = mean
+        state.x_t = TokenMatrix(x, grid=grid)
         state.prev_guidance = guidance
-    return TokenMatrix(x, grid=grid)
+    return state.x_t

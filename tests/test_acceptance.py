@@ -186,7 +186,7 @@ def test_partition_and_shape_suite():
         n = side * side
         r = float(ratios[int(gen.integers(0, len(ratios)))])
         strategy = strategies[case % 3]
-        cfg = MergeConfig(strategy, r=r, k=0.25, p=0.4, seed=case)
+        cfg = MergeConfig(strategy, r=r, k=0.25, p=0.4)
         tokens = TokenMatrix(
             gen.standard_normal((n, 8)).astype(np.float32), grid=(side, side)
         )

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tokmerge import (
@@ -122,6 +122,24 @@ def test_counts_for_rejects_zero_dst():
     cfg = MergeConfig("importance-pool", r=0.5, k=0.1)
     with pytest.raises(ConfigInfeasibleError, match="no dst"):
         counts_for(4, cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=5000),
+    st.floats(min_value=0.0, max_value=0.999),
+    st.floats(min_value=0.001, max_value=0.999),
+    st.floats(min_value=0.0, max_value=4.0),
+)
+def test_counts_for_pool_holds_every_kept_token(n, r, k, p):
+    # The pool always has room for the dst and independent tokens, so the
+    # pool planner needs no capacity check of its own.
+    try:
+        counts = counts_for(n, MergeConfig("importance-pool", r=r, k=k, p=p))
+    except ConfigInfeasibleError:
+        assume(False)
+    assert counts.n_dst + counts.n_independent == counts.n_out
+    assert counts.n_out <= counts.pool_size <= n
 
 
 def test_reduced_count_matches_exact_rational_floor():

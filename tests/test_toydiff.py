@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokmerge import (
+    ImportanceMap,
     MergeConfig,
     NoiseSchedule,
     Rng,
@@ -21,6 +22,7 @@ from tokmerge import (
     sample,
     scheduled_plan,
 )
+from tokmerge import toydiff
 from tokmerge.toydiff import (
     MODE_MERGE,
     MODE_PRUNE,
@@ -204,7 +206,7 @@ def test_scheduler_prunes_early_then_merges():
     assert early.mode == MODE_PRUNE
     late = scheduled_plan(state, 3, state.x_t, cfg, Rng(0).at(5, 0))
     assert late.mode == MODE_MERGE
-    assert late.importance is not None
+    assert not late.grid_fallback
 
 
 def test_scheduler_falls_back_to_grid_without_guidance():
@@ -213,7 +215,14 @@ def test_scheduler_falls_back_to_grid_without_guidance():
     sp = scheduled_plan(state, 0, state.x_t, cfg, Rng(0).at(5, 0))
     assert sp.mode == MODE_MERGE
     assert sp.grid_fallback
-    assert sp.importance is None
+
+
+@pytest.mark.parametrize("strategy", ["importance-pool", "topk-dst"])
+def test_scheduler_rejects_guidance_of_the_wrong_length(strategy):
+    cfg = MergeConfig(strategy, r=0.5, prune_steps=0)
+    state = make_state(prev=ImportanceMap(np.ones(17)))
+    with pytest.raises(ValueError, match="17 scores for 16 tokens"):
+        scheduled_plan(state, 3, state.x_t, cfg, Rng(0).at(5, 0))
 
 
 def test_scheduler_strategy_none_merges_nothing():
@@ -277,6 +286,26 @@ def test_sample_prune_schedule_and_guidance_linkage():
             assert ev.importance.source_timestep == ev.timestep + 1
     steps_seen = {ev.step_index for ev in events}
     assert steps_seen == set(range(10))
+
+
+@pytest.mark.parametrize("strategy", ["none", "tome-random-grid", "importance-pool"])
+def test_sample_events_carry_the_previous_steps_map(monkeypatch, strategy):
+    maps = []
+
+    def recording_cfg_predict(*args, **kwargs):
+        eps, guidance = cfg_predict(*args, **kwargs)
+        maps.append(guidance)
+        return eps, guidance
+
+    monkeypatch.setattr(toydiff, "cfg_predict", recording_cfg_predict)
+    cfg = MergeConfig(strategy, r=0.0 if strategy == "none" else 0.5, prune_steps=2)
+    events = []
+    sample(small_model(), NoiseSchedule.linear(5), cfg, 7.5, 1, Rng(0), (4, 4),
+           hook=events.append)
+    assert len(events) == 5 * 2 * 2 and len(maps) == 5
+    for ev in events:
+        expected = None if ev.step_index == 0 else maps[ev.step_index - 1]
+        assert ev.importance is expected
 
 
 def test_sample_cold_start_without_pruning_uses_grid_once():
@@ -356,6 +385,43 @@ def test_denoiser_output_shape_matches_input():
     x = TokenMatrix(np.random.default_rng(0).standard_normal((9, 12)).astype(np.float32))
     out = model.forward(x, 3, 2)
     assert out.data.shape == (9, 12)
+
+
+def reference_forward_inputs(model, tokens, t, y):
+    """The input of each block of ``model.forward`` without merging, recomputed."""
+    h = tokens.data + model._time_embedding(t) + model._class_embedding(y)
+    inputs = []
+    for blk in model.blocks:
+        inputs.append(h)
+        h = h + attention(_layer_norm(h, blk.ln1_g, blk.ln1_b), blk.wq, blk.wk, blk.wv, blk.wo)
+        h = _mlp_residual(h, blk)
+    return inputs
+
+
+def test_forward_asks_plan_for_once_per_block_in_order():
+    model = ToyDenoiser(8, n_classes=4, n_blocks=3, seed=2)
+    tokens = make_state().x_t
+    calls = []
+
+    def plan_for(layer, layer_tokens):
+        calls.append((layer, layer_tokens))
+        return identity_plan(layer_tokens.n_tokens), MODE_MERGE
+
+    model.forward(tokens, 4, 1, plan_for)
+    assert [layer for layer, _ in calls] == [0, 1, 2]
+    for (_, layer_tokens), expected in zip(calls, reference_forward_inputs(model, tokens, 4, 1)):
+        assert layer_tokens.grid == tokens.grid
+        np.testing.assert_array_equal(layer_tokens.data, expected)
+
+
+@pytest.mark.parametrize("mode", [MODE_MERGE, MODE_PRUNE])
+def test_forward_with_identity_plans_equals_plain_forward(mode):
+    model = small_model()
+    tokens = make_state(seed=3).x_t
+    merged = model.forward(tokens, 2, 0, lambda layer, lt: (identity_plan(lt.n_tokens), mode))
+    plain = model.forward(tokens, 2, 0)
+    assert merged.grid == plain.grid
+    np.testing.assert_array_equal(merged.data.view(np.uint8), plain.data.view(np.uint8))
 
 
 def test_gelu_float32_tracks_float64_reference():
