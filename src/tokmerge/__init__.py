@@ -24,11 +24,9 @@ from .rng import Rng
 from .strategy import plan_importance_pool, plan_tome_grid, plan_topk_dst
 from .toydiff import (
     NoiseSchedule,
-    SamplerState,
     ToyDenoiser,
     cfg_predict,
     combine_guidance,
-    forward_noise,
     sample,
     scheduled_plan,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "MergePlan",
     "NoiseSchedule",
     "Rng",
-    "SamplerState",
     "TokenMatrix",
     "ToyDenoiser",
     "apply_merge",
@@ -57,7 +54,6 @@ __all__ = [
     "cfg_predict",
     "combine_guidance",
     "counts_for",
-    "forward_noise",
     "guidance_magnitude",
     "identity_plan",
     "paired_cosine",

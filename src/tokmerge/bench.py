@@ -299,15 +299,9 @@ def run_compare(
                                          Rng(seed).at(ev.timestep, _CONTROL_LAYER + ev.layer))
                     if coh is not None:
                         cohesions.append(coh)
-                    if (
-                        strategy == STRATEGY_POOL
-                        and ev.mode == MODE_MERGE
-                        and not ev.grid_fallback
-                        and ev.importance is not None
-                    ):
-                        violations += _pool_violations(
-                            ev.tokens, ev.importance, ev.plan, config
-                        )
+                    pool_merge = strategy == STRATEGY_POOL and ev.mode == MODE_MERGE
+                    if pool_merge and not ev.grid_fallback:
+                        violations += _pool_violations(ev.tokens, ev.importance, ev.plan, config)
         except ConfigInfeasibleError as exc:
             status = f"infeasible: {exc}"
         rows.append(
@@ -348,7 +342,7 @@ def run_capture(
         if ev.pass_id != "cond":
             continue
         n = ev.tokens.n_tokens
-        if ev.importance is not None and len(ev.importance) == n:
+        if ev.importance is not None:
             guidance = ev.importance.scores.astype(np.float32)
         else:
             guidance = np.zeros(n, dtype=np.float32)

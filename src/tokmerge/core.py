@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -249,10 +250,18 @@ class MergePlan:
         )
 
 
+@lru_cache(maxsize=16)
 def identity_plan(n: int) -> MergePlan:
-    """A plan that keeps every token as its own dst and merges nothing."""
+    """A plan that keeps every token as its own dst and merges nothing.
+
+    ``none`` asks for this plan at every layer and pass, so it is built once
+    per token count, with read-only arrays so the shared copy cannot drift.
+    """
     empty = np.empty(0, dtype=np.int64)
-    return MergePlan(n, np.arange(n, dtype=np.int64), empty, empty, empty)
+    plan = MergePlan(n, np.arange(n, dtype=np.int64), empty, empty, empty)
+    for name in _PLAN_ARRAYS:
+        getattr(plan, name).flags.writeable = False
+    return plan
 
 
 def _check_plan_input(tokens: TokenMatrix, plan: MergePlan) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -26,7 +26,7 @@ from .core import (
     STRATEGY_GRID,
     STRATEGY_NONE,
     STRATEGY_POOL,
-    _PLAN_ARRAYS,
+    STRATEGY_TOPK,
     ImportanceMap,
     MergeConfig,
     MergePlan,
@@ -87,37 +87,6 @@ class NoiseSchedule:
         return np.cumprod(self.alphas)
 
 
-@dataclass
-class SamplerState:
-    """Trajectory state: current latent, timestep, guidance setup, cached map."""
-
-    x_t: TokenMatrix
-    t: int
-    w: float
-    y: int | None
-    prev_guidance: ImportanceMap | None = None
-
-
-def forward_noise(
-    x0: TokenMatrix, t: int, schedule: NoiseSchedule, rng: Rng
-) -> TokenMatrix:
-    """Noise a clean sample to timestep t in closed form.
-
-    x_t = sqrt(abar_t) * x0 + sqrt(1 - abar_t) * eps with eps standard normal.
-    """
-    if not 1 <= t <= schedule.T:
-        raise ValueError(f"timestep {t} outside [1, {schedule.T}]")
-    ab = schedule.alpha_bars[t - 1]
-    dtype = x0.data.dtype
-    gen = rng.generator()
-    if dtype == np.float32:
-        eps = gen.standard_normal(x0.data.shape, dtype=np.float32)
-    else:
-        eps = gen.standard_normal(x0.data.shape)
-    xt = x0.data * dtype.type(math.sqrt(ab)) + eps * dtype.type(math.sqrt(1.0 - ab))
-    return TokenMatrix(xt, grid=x0.grid)
-
-
 def combine_guidance(
     eps_cond: TokenMatrix, eps_uncond: TokenMatrix, w: float
 ) -> TokenMatrix:
@@ -145,16 +114,6 @@ class ScheduledPlan(NamedTuple):
     grid_fallback: bool = False
 
 
-@lru_cache(maxsize=16)
-def _shared_identity_plan(n: int) -> MergePlan:
-    # ``none`` asks for this plan at every layer and pass; build it once per
-    # token count and freeze its arrays so the shared copy cannot drift.
-    plan = identity_plan(n)
-    for name in _PLAN_ARRAYS:
-        getattr(plan, name).flags.writeable = False
-    return plan
-
-
 def plan_layer(
     tokens: TokenMatrix,
     importance: ImportanceMap | None,
@@ -169,7 +128,7 @@ def plan_layer(
     plans in both.
     """
     if config.strategy == STRATEGY_NONE:
-        return _shared_identity_plan(tokens.n_tokens)
+        return identity_plan(tokens.n_tokens)
     if config.strategy == STRATEGY_GRID or importance is None:
         return plan_tome_grid(tokens, config, rng)
     if config.strategy == STRATEGY_POOL:
@@ -178,8 +137,8 @@ def plan_layer(
 
 
 def scheduled_plan(
-    state: SamplerState,
     step_index: int,
+    importance: ImportanceMap | None,
     layer_tokens: TokenMatrix,
     config: MergeConfig,
     rng: Rng,
@@ -187,24 +146,19 @@ def scheduled_plan(
     """Pick the plan and reduction mode for one layer at one sampling step.
 
     Early steps (``step_index < prune_steps``) prune with grid selection;
-    later steps merge with the configured strategy.  Importance-driven
-    strategies plan from ``state.prev_guidance`` as is, and fall back to grid
-    selection -- with a logged diagnostic, never an exception -- when no
-    previous-step map is available yet.  A map whose length differs from the
-    layer's token count raises the planner's ``ValueError``.
+    later steps merge with the plan :func:`plan_layer` builds from
+    ``importance``, the previous step's guidance map.  Importance-driven
+    strategies fall back to grid selection -- with a logged diagnostic, never
+    an exception -- when no map is available yet.  A map whose length differs
+    from the layer's token count raises the planner's ``ValueError``.
     """
     if config.strategy != STRATEGY_NONE and step_index < config.prune_steps:
         return ScheduledPlan(plan_tome_grid(layer_tokens, config, rng), MODE_PRUNE)
-    if config.strategy in (STRATEGY_NONE, STRATEGY_GRID):
-        return ScheduledPlan(plan_layer(layer_tokens, None, config, rng), MODE_MERGE)
-
-    imp = state.prev_guidance
-    if imp is None:
-        logger.debug(
-            "no guidance at step %d (t=%d); using grid selection", step_index, state.t
-        )
-    plan = plan_layer(layer_tokens, imp, config, rng)
-    return ScheduledPlan(plan, MODE_MERGE, grid_fallback=imp is None)
+    fallback = importance is None and config.strategy in (STRATEGY_POOL, STRATEGY_TOPK)
+    if fallback:
+        logger.debug("no guidance at step %d; using grid selection", step_index)
+    plan = plan_layer(layer_tokens, importance, config, rng)
+    return ScheduledPlan(plan, MODE_MERGE, grid_fallback=fallback)
 
 
 @dataclass(frozen=True)
@@ -435,41 +389,50 @@ class ToyDenoiser:
 
 
 def cfg_predict(
-    state: SamplerState,
     model: ToyDenoiser,
-    config: MergeConfig | None = None,
-    rng: Rng | None = None,
-    step_index: int = 0,
-    hook: Callable[[LayerEvent], None] | None = None,
+    x_t: TokenMatrix,
+    t: int,
+    y: int | None,
+    w: float,
+    plan_for: Callable[[str, int, TokenMatrix], tuple[MergePlan, str]] | None = None,
 ) -> tuple[TokenMatrix, ImportanceMap]:
     """Guided noise prediction plus the guidance-magnitude map.
 
-    The map is returned so the caller can cache it for the NEXT step's merge
-    planning.  When ``config`` and ``rng`` are given, both forward passes run
-    through the merge engine: every layer plans through ``scheduled_plan`` on
-    its ``(t, layer)`` stream of ``rng`` and reports one :class:`LayerEvent`
-    to ``hook``.
+    The map is returned so the caller can plan the NEXT step's merges from
+    it.  ``plan_for(pass_id, layer, layer_tokens)``, when given, serves both
+    forward passes, bound to ``"cond"`` and ``"uncond"``.
     """
-    def planner(pass_id: str) -> Callable | None:
-        if config is None or rng is None:
-            return None
+    def bound(pass_id: str) -> Callable | None:
+        return None if plan_for is None else partial(plan_for, pass_id)
 
-        def plan_for(layer: int, layer_tokens: TokenMatrix) -> tuple[MergePlan, str]:
-            sp = scheduled_plan(
-                state, step_index, layer_tokens, config, rng.at(state.t, layer)
-            )
-            if hook is not None:
-                hook(LayerEvent(step_index, state.t, layer, pass_id, layer_tokens,
-                                state.prev_guidance, sp.plan, sp.mode, sp.grid_fallback))
-            return sp.plan, sp.mode
-
-        return plan_for
-
-    eps_cond = model.forward(state.x_t, state.t, state.y, planner("cond"))
-    eps_uncond = model.forward(state.x_t, state.t, None, planner("uncond"))
-    guided = combine_guidance(eps_cond, eps_uncond, state.w)
-    guidance = guidance_magnitude(eps_cond, eps_uncond, source_timestep=state.t)
+    eps_cond = model.forward(x_t, t, y, bound("cond"))
+    eps_uncond = model.forward(x_t, t, None, bound("uncond"))
+    guided = combine_guidance(eps_cond, eps_uncond, w)
+    guidance = guidance_magnitude(eps_cond, eps_uncond, source_timestep=t)
     return guided, guidance
+
+
+def _step_planner(
+    step_index: int,
+    t: int,
+    importance: ImportanceMap | None,
+    config: MergeConfig,
+    rng: Rng,
+    hook: Callable[[LayerEvent], None] | None,
+) -> Callable[[str, int, TokenMatrix], tuple[MergePlan, str]]:
+    """One sampling step's plan callback for :func:`cfg_predict`.
+
+    Every layer plans through :func:`scheduled_plan` on its ``(t, layer)``
+    stream of ``rng`` and reports one :class:`LayerEvent` to ``hook``.
+    """
+    def plan_for(pass_id: str, layer: int, layer_tokens: TokenMatrix) -> tuple[MergePlan, str]:
+        sp = scheduled_plan(step_index, importance, layer_tokens, config, rng.at(t, layer))
+        if hook is not None:
+            hook(LayerEvent(step_index, t, layer, pass_id, layer_tokens,
+                            importance, sp.plan, sp.mode, sp.grid_fallback))
+        return sp.plan, sp.mode
+
+    return plan_for
 
 
 def sample(
@@ -493,10 +456,11 @@ def sample(
     x = rng.at(schedule.T, INIT_NOISE_LAYER).generator().standard_normal(
         (n, model.n_channels), dtype=np.float32
     )
-    state = SamplerState(x_t=TokenMatrix(x, grid=grid), t=schedule.T, w=w, y=y)
+    x_t = TokenMatrix(x, grid=grid)
+    guidance = None
     for step_index, t in enumerate(range(schedule.T, 0, -1)):
-        state.t = t
-        eps, guidance = cfg_predict(state, model, config, rng, step_index, hook)
+        plan_for = _step_planner(step_index, t, guidance, config, rng, hook)
+        eps, guidance = cfg_predict(model, x_t, t, y, w, plan_for)
 
         alpha = np.float32(schedule.alphas[t - 1])
         coef = np.float32(
@@ -510,6 +474,5 @@ def sample(
             x = mean + np.float32(math.sqrt(schedule.betas[t - 1])) * z
         else:
             x = mean
-        state.x_t = TokenMatrix(x, grid=grid)
-        state.prev_guidance = guidance
-    return state.x_t
+        x_t = TokenMatrix(x, grid=grid)
+    return x_t

@@ -304,12 +304,10 @@ def test_cfg_correctness():
     assert np.array_equal(combine_guidance(cond, uncond, 1.0).data, cond.data)
 
     model = ToyDenoiser(8, n_classes=4, seed=1)
-    from tokmerge import SamplerState
-
     x = TokenMatrix(gen.standard_normal((16, 8)).astype(np.float32), grid=(4, 4))
     outs = {}
     for w in (0.0, 1.0, 2.0):
-        eps, _ = cfg_predict(SamplerState(x, t=5, w=w, y=2), model)
+        eps, _ = cfg_predict(model, x, 5, 2, w)
         outs[w] = eps.data.astype(np.float64)
     interp = 2.0 * outs[1.0] - outs[0.0]
     denom = np.maximum(np.abs(outs[2.0]), 1e-12)

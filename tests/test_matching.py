@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,7 +224,11 @@ def reference_link_best(src_rows, dst_rows):
 LINK_COUNTS = (256, 300, 511, 512, 575, 576, 1024, 1100, 1228, 4096)
 
 
-def check_blocked_link_best(n_src):
+@pytest.mark.parametrize("n_src", LINK_COUNTS)
+def test_blocked_link_best_equals_unblocked_kernel(n_src):
+    # With several BLAS threads, dgemm splits the rows of one call by thread,
+    # so the unblocked kernel's own float64 bits depend on the thread count.
+    # conftest.py holds the suite on one thread, as the benchmark runs.
     gen = np.random.default_rng(n_src)
     src = gen.standard_normal((n_src, 64), dtype=np.float32)
     dst = gen.standard_normal((n_src // 3 + 1, 64), dtype=np.float32)
@@ -238,18 +238,3 @@ def check_blocked_link_best(n_src):
     assert assignment.dtype == np.int64
     np.testing.assert_array_equal(assignment, ref_assignment)
     np.testing.assert_array_equal(scores.view(np.uint64), ref_scores.view(np.uint64))
-
-
-def test_blocked_link_best_equals_unblocked_kernel():
-    # With several BLAS threads, dgemm splits the rows of one call by thread,
-    # so the unblocked kernel's own float64 bits depend on the thread count.
-    # Compare on one thread, as the benchmark runs, in a child process: the
-    # thread count is fixed when numpy loads.
-    here = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(here), str(here.parent / "src"), os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path,
-           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    code = "import test_matching as t\nfor n in t.LINK_COUNTS: t.check_blocked_link_best(n)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=600)
-    assert done.returncode == 0, done.stderr

@@ -1,6 +1,8 @@
 import dataclasses
+import logging
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,13 +14,12 @@ from tokmerge import (
     MergeConfig,
     NoiseSchedule,
     Rng,
-    SamplerState,
     TokenMatrix,
     ToyDenoiser,
     cfg_predict,
     combine_guidance,
-    forward_noise,
     identity_plan,
+    plan_tome_grid,
     sample,
     scheduled_plan,
 )
@@ -43,7 +44,7 @@ def small_model(channels=8, seed=0):
 
 def make_state(n=16, c=8, grid=(4, 4), t=5, w=7.5, y=1, seed=0, prev=None):
     x = np.random.default_rng(seed).standard_normal((n, c)).astype(np.float32)
-    return SamplerState(TokenMatrix(x, grid=grid), t=t, w=w, y=y, prev_guidance=prev)
+    return SimpleNamespace(x_t=TokenMatrix(x, grid=grid), t=t, w=w, y=y, prev_guidance=prev)
 
 
 # ---------------------------------------------------------------------------
@@ -67,51 +68,6 @@ def test_linear_schedule_cumulative_products_strictly_decrease():
     assert sched.T == 50
     assert np.all(np.diff(sched.alpha_bars) < 0)
     assert np.all(sched.alpha_bars > 0) and np.all(sched.alpha_bars <= 1)
-
-
-# ---------------------------------------------------------------------------
-# forward_noise
-# ---------------------------------------------------------------------------
-
-def test_forward_noise_rejects_out_of_range_timestep():
-    sched = NoiseSchedule.linear(10)
-    x0 = TokenMatrix(np.zeros((4, 2), dtype=np.float32))
-    with pytest.raises(ValueError):
-        forward_noise(x0, 0, sched, Rng(0))
-    with pytest.raises(ValueError):
-        forward_noise(x0, 11, sched, Rng(0))
-
-
-def test_forward_noise_near_zero_noise_limit():
-    # With vanishing betas the cumulative product is ~1 and x_t ~ x_0.
-    sched = NoiseSchedule(np.full(5, 1e-12))
-    x0 = TokenMatrix(np.random.default_rng(0).standard_normal((8, 4)))
-    xt = forward_noise(x0, 5, sched, Rng(1))
-    np.testing.assert_allclose(xt.data, x0.data, atol=1e-4)
-
-
-def test_forward_noise_is_seed_deterministic():
-    sched = NoiseSchedule.linear(10)
-    x0 = TokenMatrix(np.ones((6, 3), dtype=np.float32))
-    a = forward_noise(x0, 7, sched, Rng(9).at(7, 0))
-    b = forward_noise(x0, 7, sched, Rng(9).at(7, 0))
-    np.testing.assert_array_equal(a.data, b.data)
-
-
-def test_forward_noise_variance_matches_monte_carlo():
-    # x_0 = 0 makes every element of x_t i.i.d. N(0, 1 - abar_t); check the
-    # sample variance against that target within 3 sigma of the estimator.
-    sched = NoiseSchedule.linear(10)
-    t = 10
-    target = 1.0 - sched.alpha_bars[t - 1]
-    x0 = TokenMatrix(np.zeros((4, 4)))
-    draws = []
-    for seed in range(10_000):
-        draws.append(forward_noise(x0, t, sched, Rng(seed)).data.ravel())
-    elements = np.concatenate(draws)
-    est = elements.var()
-    sigma = target * np.sqrt(2.0 / (elements.size - 1))
-    assert abs(est - target) < 3.0 * sigma
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +106,7 @@ def test_combine_guidance_rejects_shape_mismatch():
 def test_cfg_predict_weight_zero_returns_unconditional():
     model = small_model()
     state = make_state(w=0.0)
-    eps, _ = cfg_predict(state, model)
+    eps, _ = cfg_predict(model, state.x_t, state.t, state.y, state.w)
     uncond = model.forward(state.x_t, state.t, None)
     np.testing.assert_array_equal(eps.data, uncond.data)
 
@@ -158,7 +114,7 @@ def test_cfg_predict_weight_zero_returns_unconditional():
 def test_cfg_predict_weight_one_returns_conditional():
     model = small_model()
     state = make_state(w=1.0)
-    eps, _ = cfg_predict(state, model)
+    eps, _ = cfg_predict(model, state.x_t, state.t, state.y, state.w)
     cond = model.forward(state.x_t, state.t, state.y)
     np.testing.assert_array_equal(eps.data, cond.data)
 
@@ -167,7 +123,7 @@ def test_cfg_predict_is_affine_in_weight():
     model = small_model()
     outs = {}
     for w in (0.0, 1.0, 2.0):
-        eps, _ = cfg_predict(make_state(w=w), model)
+        eps, _ = cfg_predict(model, make_state().x_t, 5, 1, w)
         outs[w] = eps.data.astype(np.float64)
     interp = 2.0 * outs[1.0] - outs[0.0]
     np.testing.assert_allclose(outs[2.0], interp, rtol=1e-5, atol=1e-7)
@@ -176,7 +132,7 @@ def test_cfg_predict_is_affine_in_weight():
 def test_cfg_predict_tags_guidance_with_current_timestep():
     model = small_model()
     state = make_state(t=9)
-    _, guidance = cfg_predict(state, model)
+    _, guidance = cfg_predict(model, state.x_t, state.t, state.y, state.w)
     assert guidance.source_timestep == 9
     assert len(guidance) == state.x_t.n_tokens
     assert np.all(guidance.scores >= 0)
@@ -184,8 +140,8 @@ def test_cfg_predict_tags_guidance_with_current_timestep():
 
 def test_cfg_predict_deterministic():
     model = small_model()
-    a, ga = cfg_predict(make_state(), model)
-    b, gb = cfg_predict(make_state(), model)
+    a, ga = cfg_predict(model, make_state().x_t, 5, 1, 7.5)
+    b, gb = cfg_predict(model, make_state().x_t, 5, 1, 7.5)
     np.testing.assert_array_equal(a.data, b.data)
     np.testing.assert_array_equal(ga.scores, gb.scores)
 
@@ -202,9 +158,9 @@ def test_scheduler_prunes_early_then_merges():
     state.prev_guidance = guidance_magnitude(
         state.x_t, TokenMatrix(np.zeros_like(state.x_t.data)), source_timestep=6
     )
-    early = scheduled_plan(state, 1, state.x_t, cfg, Rng(0).at(5, 0))
+    early = scheduled_plan(1, state.prev_guidance, state.x_t, cfg, Rng(0).at(5, 0))
     assert early.mode == MODE_PRUNE
-    late = scheduled_plan(state, 3, state.x_t, cfg, Rng(0).at(5, 0))
+    late = scheduled_plan(3, state.prev_guidance, state.x_t, cfg, Rng(0).at(5, 0))
     assert late.mode == MODE_MERGE
     assert not late.grid_fallback
 
@@ -212,7 +168,7 @@ def test_scheduler_prunes_early_then_merges():
 def test_scheduler_falls_back_to_grid_without_guidance():
     cfg = MergeConfig("importance-pool", r=0.5, prune_steps=0)
     state = make_state(prev=None)
-    sp = scheduled_plan(state, 0, state.x_t, cfg, Rng(0).at(5, 0))
+    sp = scheduled_plan(0, state.prev_guidance, state.x_t, cfg, Rng(0).at(5, 0))
     assert sp.mode == MODE_MERGE
     assert sp.grid_fallback
 
@@ -222,14 +178,14 @@ def test_scheduler_rejects_guidance_of_the_wrong_length(strategy):
     cfg = MergeConfig(strategy, r=0.5, prune_steps=0)
     state = make_state(prev=ImportanceMap(np.ones(17)))
     with pytest.raises(ValueError, match="17 scores for 16 tokens"):
-        scheduled_plan(state, 3, state.x_t, cfg, Rng(0).at(5, 0))
+        scheduled_plan(3, state.prev_guidance, state.x_t, cfg, Rng(0).at(5, 0))
 
 
 def test_scheduler_strategy_none_merges_nothing():
     cfg = MergeConfig("none", r=0.0)
     state = make_state()
     for step in range(4):
-        sp = scheduled_plan(state, step, state.x_t, cfg, Rng(0).at(5, 0))
+        sp = scheduled_plan(step, state.prev_guidance, state.x_t, cfg, Rng(0).at(5, 0))
         assert sp.plan.n_merged == 0
         assert sp.plan.n_out == state.x_t.n_tokens
         assert sp.plan == identity_plan(state.x_t.n_tokens)
@@ -249,9 +205,34 @@ def test_sample_strategy_none_shares_one_frozen_identity_plan():
 def test_scheduler_grid_strategy_never_needs_guidance():
     cfg = MergeConfig("tome-random-grid", r=0.5, prune_steps=2)
     state = make_state(prev=None)
-    sp = scheduled_plan(state, 5, state.x_t, cfg, Rng(0).at(5, 0))
+    sp = scheduled_plan(5, state.prev_guidance, state.x_t, cfg, Rng(0).at(5, 0))
     assert sp.mode == MODE_MERGE
     assert not sp.grid_fallback
+
+
+@pytest.mark.parametrize("step", [1, 3], ids=["prune-step", "merge-step"])
+@pytest.mark.parametrize("has_map", [True, False], ids=["map", "no-map"])
+@pytest.mark.parametrize("strategy", ["none", "tome-random-grid", "importance-pool", "topk-dst"])
+def test_scheduler_decision_table(caplog, strategy, has_map, step):
+    # prune_steps=2: step 1 prunes (except under none), step 3 merges.
+    cfg = MergeConfig(strategy, r=0.0 if strategy == "none" else 0.5, prune_steps=2)
+    tokens = make_state().x_t
+    importance = ImportanceMap(np.random.default_rng(1).random(16)) if has_map else None
+    with caplog.at_level(logging.DEBUG, logger="tokmerge.toydiff"):
+        sp = scheduled_plan(step, importance, tokens, cfg, Rng(0).at(5, 0))
+
+    prunes = strategy != "none" and step < 2
+    fallback = not prunes and not has_map and strategy in ("importance-pool", "topk-dst")
+    assert sp.mode == (MODE_PRUNE if prunes else MODE_MERGE)
+    assert sp.grid_fallback == fallback
+    assert ("using grid selection" in caplog.text) == fallback
+    if prunes or fallback or strategy == "tome-random-grid":
+        expected = plan_tome_grid(tokens, cfg, Rng(0).at(5, 0))
+    else:
+        expected = toydiff.plan_layer(tokens, importance, cfg, Rng(0).at(5, 0))
+    assert sp.plan == expected
+    if strategy == "none":
+        assert sp.plan == identity_plan(16)
 
 
 # ---------------------------------------------------------------------------
