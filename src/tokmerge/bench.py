@@ -29,6 +29,7 @@ from .core import (
     TokenMatrix,
     counts_for,
     require_finite,
+    require_integer,
 )
 from .flops import FlopModel
 from .fmap import CaptureRecord, write_capture
@@ -78,6 +79,7 @@ class HarnessParams:
     def __post_init__(self) -> None:
         require_finite(cfg_scale=self.cfg_scale, dst_frac=self.dst_frac,
                        pool_factor=self.pool_factor)
+        require_integer(tokens=self.tokens, channels=self.channels, seed=self.seed)
         # Every subcommand takes every flag, even where it reads only some
         # (replay never samples), so all of them are checked here.
         self.grid()
@@ -191,7 +193,9 @@ def _trajectories(params: HarnessParams,
 
 
 def _require_at_least(minimum: int, **counts: int) -> None:
-    """Raise :class:`ConfigInfeasibleError` naming the first count below ``minimum``."""
+    """Raise :class:`ConfigInfeasibleError` naming the first count that is not
+    an integer of at least ``minimum``."""
+    require_integer(**counts)
     for name, value in counts.items():
         if value < minimum:
             raise ConfigInfeasibleError(f"{name}={value} must be >= {minimum}")

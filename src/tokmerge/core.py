@@ -10,8 +10,9 @@ processed value back to every position that was merged into it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +47,13 @@ def require_finite(**settings: float) -> None:
             raise ConfigInfeasibleError(f"{name}={value} must be finite")
 
 
+def require_integer(**settings: int) -> None:
+    """Raise :class:`ConfigInfeasibleError` naming the first non-integer setting."""
+    for name, value in settings.items():
+        if not isinstance(value, numbers.Integral):
+            raise ConfigInfeasibleError(f"{name}={value!r} must be an integer")
+
+
 @dataclass(frozen=True)
 class TokenMatrix:
     """An ordered set of token feature vectors with stable positional indices.
@@ -64,9 +72,12 @@ class TokenMatrix:
             raise ValueError(
                 f"token data must be (n_tokens, n_channels), got shape {data.shape}"
             )
-        if not np.issubdtype(data.dtype, np.floating):
+        # dtype.kind and the array method, not np.issubdtype and np.all: a
+        # step builds about 24 token matrices, and the function forms cost
+        # microseconds each.
+        if data.dtype.kind != "f":
             data = data.astype(np.float64)
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise ValueError("token data must be finite")
         object.__setattr__(self, "data", data)
         if self.grid is not None:
@@ -88,24 +99,36 @@ class TokenMatrix:
 
 @dataclass(frozen=True)
 class ImportanceMap:
-    """One non-negative relevance score per token position."""
+    """One non-negative relevance score per token position.
+
+    The map holds a read-only copy of its scores, so :attr:`ranking` can be
+    computed once and shared by every plan built from the map.
+    """
 
     scores: np.ndarray
     source_timestep: int = 0
 
     def __post_init__(self) -> None:
-        scores = np.asarray(self.scores, dtype=np.float64)
+        scores = np.array(self.scores, dtype=np.float64)
         if scores.ndim != 1 or scores.shape[0] < 1:
             raise ValueError(f"scores must be 1-D, got shape {scores.shape}")
-        if not np.all(np.isfinite(scores)):
+        if not np.isfinite(scores).all():
             raise ValueError("importance scores must be finite")
-        if np.any(scores < 0):
+        if (scores < 0).any():
             raise ValueError("importance scores must be non-negative")
+        scores.flags.writeable = False
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "source_timestep", int(self.source_timestep))
 
     def __len__(self) -> int:
         return self.scores.shape[0]
+
+    @cached_property
+    def ranking(self) -> np.ndarray:
+        """Token indices by descending score, ties by ascending index; read-only."""
+        order = np.argsort(-self.scores, kind="stable").astype(np.int64, copy=False)
+        order.flags.writeable = False
+        return order
 
 
 @dataclass(frozen=True)
@@ -141,6 +164,7 @@ class MergeConfig:
             )
         if self.p < 0.0:
             raise ConfigInfeasibleError(f"pool factor p={self.p} must be >= 0")
+        require_integer(prune_steps=self.prune_steps)
         if self.prune_steps < 0:
             raise ConfigInfeasibleError("prune_steps must be >= 0")
         object.__setattr__(self, "prune_steps", int(self.prune_steps))
@@ -183,6 +207,8 @@ def counts_for(n: int, config: MergeConfig) -> PlanCounts:
     return PlanCounts(pool_size, n_dst, n_independent, n_out)
 
 
+_min, _max, _any = np.minimum.reduce, np.maximum.reduce, np.logical_or.reduce
+
 _PLAN_ARRAYS = ("dst_indices", "independent_indices", "merged_sources", "merged_dst_pos")
 
 
@@ -205,27 +231,31 @@ class MergePlan:
 
     def __post_init__(self) -> None:
         n = self.n_in = int(self.n_in)
-        dst, ind, src, pos = (
-            np.asarray(getattr(self, name), dtype=np.int64) for name in _PLAN_ARRAYS
-        )
+        dst = self.dst_indices = np.asarray(self.dst_indices, dtype=np.int64)
+        ind = self.independent_indices = np.asarray(self.independent_indices, dtype=np.int64)
+        src = self.merged_sources = np.asarray(self.merged_sources, dtype=np.int64)
+        pos = self.merged_dst_pos = np.asarray(self.merged_dst_pos, dtype=np.int64)
         if dst.size == 0:
             raise InvalidPlanError("plan needs at least one dst token")
-        all_idx = np.concatenate([dst, ind, src])
-        in_range = all_idx.size == n and all_idx.min() >= 0 and all_idx.max() < n
-        if not in_range or np.bincount(all_idx).max() > 1:
+        # Plans are built per layer and pass, so the checks call the ufunc
+        # reductions directly: the array methods and np.any wrap them in
+        # Python that costs microseconds per call.
+        all_idx = np.concatenate((dst, ind, src))
+        in_range = all_idx.size == n and _min(all_idx) >= 0 and _max(all_idx) < n
+        if not in_range or _max(np.bincount(all_idx)) > 1:
             raise InvalidPlanError(
                 "dst, independent, and merged indices must partition the token set"
             )
-        # Array methods, not np.any: plans are built per layer and pass, and
-        # the function form costs several microseconds more per call.
-        if any((a[1:] < a[:-1]).any() for a in (dst, ind, src)):
+        # One comparison over the concatenation checks all three arrays; the
+        # two joins between them may descend.
+        descents = all_idx[1:] < all_idx[:-1]
+        for join in (dst.size - 1, dst.size + ind.size - 1):
+            if join < descents.size:
+                descents[join] = False
+        if _any(descents):
             raise InvalidPlanError("plan indices must be ascending")
-        if pos.shape != src.shape or ((pos < 0) | (pos >= dst.size)).any():
+        if pos.shape != src.shape or (pos.size and (_min(pos) < 0 or _max(pos) >= dst.size)):
             raise InvalidPlanError("merged tokens must be assigned to dst indices")
-        self.dst_indices = dst
-        self.independent_indices = ind
-        self.merged_sources = src
-        self.merged_dst_pos = pos
 
     @property
     def n_out(self) -> int:
@@ -277,22 +307,27 @@ def apply_merge(tokens: TokenMatrix, plan: MergePlan) -> TokenMatrix:
     Returns ``plan.n_out`` tokens ordered ``[dst..., independent...]``.
     Group means accumulate in float64 and round once to the input dtype.
     """
+    if not plan.n_merged:
+        return apply_prune(tokens, plan)
     _check_plan_input(tokens, plan)
     data = tokens.data
-    dst = data[plan.dst_indices]
-    if plan.n_merged:
-        # One reduceat over the rows grouped by dst position, each dst first
-        # and then its sources by index.  Float64 sums of float32 tokens are
-        # exact in practice, so the means equal those of a per-source
-        # np.add.at; for float64 tokens they can differ in the last place.
-        group = np.concatenate([np.arange(dst.shape[0]), plan.merged_dst_pos])
-        order = np.argsort(group, kind="stable")
-        rows = np.concatenate([plan.dst_indices, plan.merged_sources])[order]
-        sizes = np.bincount(group)
-        sums = np.add.reduceat(data[rows].astype(np.float64), np.cumsum(sizes) - sizes)
-        sums /= sizes[:, None]
-        dst = sums.astype(data.dtype, copy=False)
-    return TokenMatrix(np.concatenate([dst, data[plan.independent_indices]], axis=0))
+    n_dst = plan.dst_indices.size
+    # One reduceat over the rows grouped by dst position, each dst first and
+    # then its sources by index.  Float64 sums of float32 tokens are exact in
+    # practice, so the means equal those of a per-source np.add.at; for
+    # float64 tokens they can differ in the last place.
+    group = np.concatenate((np.arange(n_dst), plan.merged_dst_pos))
+    order = np.argsort(group, kind="stable")
+    rows = np.concatenate((plan.dst_indices, plan.merged_sources))[order]
+    sizes = np.bincount(group)
+    sums = np.add.reduceat(data.take(rows, axis=0).astype(np.float64),
+                           np.add.accumulate(sizes) - sizes)
+    # The means and the independent rows go straight into the output; the
+    # float64 quotient rounds once on the way in.
+    out = np.empty((plan.n_out, data.shape[1]), dtype=data.dtype)
+    np.divide(sums, sizes[:, None], out=out[:n_dst], casting="unsafe")
+    data.take(plan.independent_indices, axis=0, out=out[n_dst:])
+    return TokenMatrix(out)
 
 
 def apply_prune(tokens: TokenMatrix, plan: MergePlan) -> TokenMatrix:
@@ -302,11 +337,8 @@ def apply_prune(tokens: TokenMatrix, plan: MergePlan) -> TokenMatrix:
     :func:`apply_unmerge` exactly as for a merged one.
     """
     _check_plan_input(tokens, plan)
-    data = tokens.data
-    out = np.concatenate(
-        [data[plan.dst_indices], data[plan.independent_indices]], axis=0
-    )
-    return TokenMatrix(out)
+    kept = np.concatenate((plan.dst_indices, plan.independent_indices))
+    return TokenMatrix(tokens.data.take(kept, axis=0))
 
 
 def apply_unmerge(processed: TokenMatrix, plan: MergePlan) -> TokenMatrix:
@@ -319,11 +351,10 @@ def apply_unmerge(processed: TokenMatrix, plan: MergePlan) -> TokenMatrix:
         raise InvalidPlanError(
             f"plan expects {plan.n_out} processed tokens, got {processed.n_tokens}"
         )
-    data = processed.data
+    # One gather by the processed row each position takes.
     n_dst = plan.dst_indices.size
-    out = np.empty((plan.n_in, processed.n_channels), dtype=data.dtype)
-    out[plan.dst_indices] = data[:n_dst]
-    out[plan.independent_indices] = data[n_dst:]
-    if plan.n_merged:
-        out[plan.merged_sources] = data[plan.merged_dst_pos]
-    return TokenMatrix(out)
+    source = np.empty(plan.n_in, dtype=np.int64)
+    source[plan.dst_indices] = np.arange(n_dst)
+    source[plan.independent_indices] = np.arange(n_dst, plan.n_out)
+    source[plan.merged_sources] = plan.merged_dst_pos
+    return TokenMatrix(processed.data.take(source, axis=0))

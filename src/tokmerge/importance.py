@@ -19,8 +19,11 @@ def guidance_magnitude(
         raise ValueError(
             f"shape mismatch: {eps_cond.data.shape} vs {eps_uncond.data.shape}"
         )
-    diff = eps_cond.data.astype(np.float64) - eps_uncond.data.astype(np.float64)
-    scores = np.abs(diff).mean(axis=1)
+    # The float64 difference, in place |.|, and the add.reduce and division
+    # by the channel count that .mean(axis=1) runs.
+    diff = np.subtract(eps_cond.data, eps_uncond.data, dtype=np.float64)
+    scores = np.add.reduce(np.abs(diff, out=diff), axis=1)
+    scores /= diff.shape[1]
     return ImportanceMap(scores, source_timestep=source_timestep)
 
 
@@ -48,5 +51,9 @@ def resample_importance(
 
 
 def rank_tokens(imp: ImportanceMap) -> np.ndarray:
-    """Token indices sorted by descending score; ties break by ascending index."""
-    return np.argsort(-imp.scores, kind="stable").astype(np.int64)
+    """Token indices sorted by descending score; ties break by ascending index.
+
+    The map sorts once (:attr:`ImportanceMap.ranking`), so every plan built
+    from one map shares the read-only result.
+    """
+    return imp.ranking

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 # Rows per block of the blocked layer kernels (see ``_row_blocks``).
 _ROW_BLOCK = 288
 
 
-def _row_blocks(n: int) -> list[slice]:
+@lru_cache(maxsize=64)
+def _row_blocks(n: int) -> tuple[slice, ...]:
     """Split ``range(n)`` into contiguous blocks of ``_ROW_BLOCK`` rows.
 
     The remainder joins the last block, so every block has 288-575 rows and
@@ -20,13 +23,24 @@ def _row_blocks(n: int) -> list[slice]:
     is a multiple of 48.
     """
     starts = [i * _ROW_BLOCK for i in range(max(1, n // _ROW_BLOCK))]
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+    return tuple(slice(a, b) for a, b in zip(starts, starts[1:] + [n]))
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    return x / np.where(norms > 0.0, norms, 1.0)
+    """Float64 rows of ``x`` over their Euclidean norms; a zero row stays zero.
+
+    Equal bit for bit to ``x / np.where(norms > 0, norms, 1)`` with ``norms =
+    np.linalg.norm(x, axis=1, keepdims=True)``: that norm is the same
+    ``sqrt(add.reduce(x * x))``, here without its Python wrapper.  As there,
+    a row whose norm is NaN is divided by 1, and a row with an inf by its
+    infinite norm.
+    """
+    x = np.array(x, dtype=np.float64)  # a copy: divided in place below
+    norms = np.add.reduce(x * x, axis=1, keepdims=True)
+    np.sqrt(norms, out=norms)
+    norms[~(norms > 0.0)] = 1.0
+    x /= norms
+    return x
 
 
 def paired_cosine(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
@@ -58,10 +72,13 @@ def link_best(src_rows: np.ndarray, dst_rows: np.ndarray) -> tuple[np.ndarray, n
         raise ValueError(
             f"channel mismatch: src {src_rows.shape[1]} vs dst {dst_rows.shape[1]}"
         )
-    # One src block at a time, so no (n_src, n_dst) kernel is built.
-    src_unit = _unit_rows(src_rows)
-    dst_unit_t = _unit_rows(dst_rows).T
-    links = [_link_block(src_unit[rows], dst_unit_t) for rows in _row_blocks(src_unit.shape[0])]
+    # Both operands normalize in one call (each row on its own, so the bits
+    # are those of normalizing them apart); then one src block at a time, so
+    # no (n_src, n_dst) kernel is built.
+    n_src = src_rows.shape[0]
+    unit = _unit_rows(np.concatenate((src_rows, dst_rows)))
+    src_unit, dst_unit_t = unit[:n_src], unit[n_src:].T
+    links = [_link_block(src_unit[rows], dst_unit_t) for rows in _row_blocks(n_src)]
     assignment, best = links[0] if len(links) == 1 else map(np.concatenate, zip(*links))
     return assignment.astype(np.int64, copy=False), np.clip(best, -1.0, 1.0)
 

@@ -7,6 +7,7 @@ streams and can be rebuilt bit-identically in any order, in any process.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,14 @@ class Rng:
     layer: int = 0
 
     def __post_init__(self) -> None:
+        # Draws are memoised on Rng values, and 3.0 == 3 with equal hashes,
+        # so a non-integer key is rejected here rather than by the generator.
+        for name in ("seed", "timestep", "layer"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                if not isinstance(value, numbers.Integral):
+                    raise TypeError(f"Rng {name}={value!r} must be an integer")
+                object.__setattr__(self, name, int(value))
         if self.timestep < 0 or self.layer < 0:
             raise ValueError("stream ids must be non-negative")
 

@@ -5,11 +5,20 @@ rest for all three.  Every other token is linked to its most similar dst,
 the least-similar links stay independent (up to the count budget), and
 everything else merges into its linked dst.  The planners differ in how dst
 tokens are chosen and in which tokens may become independent.
+
+Choosing the dst tokens reads no token data: it depends only on the
+:class:`Rng` stream, the grid or the counts, and the importance map.  Both
+CFG passes of a sampling step plan each layer on the same stream and map,
+so the random draws are memoised (:func:`_grid_dst`, :func:`_pool_draw`)
+and the map ranks its tokens once (:attr:`ImportanceMap.ranking`); only the
+linking, which reads the tokens, runs for every plan.  The memoised arrays
+are read-only.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +34,9 @@ from .matching import link_best
 from .rng import Rng
 
 _GRID_DST_FRACTION = 0.25  # one dst per 2x2 cell
+# Keys per draw cache: one sampling step's layers, for models of up to four
+# blocks.  A longer cycle of keys, such as a replay of many records, misses.
+_DRAWS_CACHED = 4
 
 
 def _plan_from_dst(
@@ -43,12 +55,43 @@ def _plan_from_dst(
     src_mask = np.ones(n, dtype=bool)
     src_mask[dst] = False
     src = np.flatnonzero(src_mask)
-    assignment, scores = link_best(tokens.data[src], tokens.data[dst])
-    candidates = np.arange(src.size) if eligible is None else np.flatnonzero(eligible[src])
-    chosen = candidates[np.argsort(scores[candidates], kind="stable")[:n_independent]]
-    ind_mask = np.zeros(src.size, dtype=bool)
-    ind_mask[chosen] = True
-    return MergePlan(n, dst, src[ind_mask], src[~ind_mask], assignment[~ind_mask])
+    data = tokens.data
+    assignment, scores = link_best(data.take(src, axis=0), data.take(dst, axis=0))
+    if eligible is None:
+        chosen = np.argsort(scores, kind="stable")[:n_independent]
+    else:
+        candidates = np.flatnonzero(eligible[src])
+        chosen = candidates[np.argsort(scores[candidates], kind="stable")[:n_independent]]
+    merged = np.ones(src.size, dtype=bool)
+    merged[chosen] = False
+    return MergePlan(n, dst, src[~merged], src[merged], assignment[merged])
+
+
+@lru_cache(maxsize=_DRAWS_CACHED)
+def _grid_dst(rng: Rng, h: int, w: int) -> np.ndarray:
+    """The sorted dst tokens of ``rng``'s draw of one token per 2x2 cell of an
+    ``h`` x ``w`` grid; read-only."""
+    ch, cw = h // 2, w // 2
+    offsets = rng.generator().integers(0, 4, size=ch * cw)
+    cell = np.arange(ch * cw)
+    rows = (cell // cw) * 2 + offsets // 2
+    cols = (cell % cw) * 2 + offsets % 2
+    dst = np.sort(rows * w + cols)
+    dst.flags.writeable = False
+    return dst
+
+
+@lru_cache(maxsize=_DRAWS_CACHED)
+def _pool_draw(rng: Rng, pool_size: int, n_dst: int) -> np.ndarray:
+    """Positions of ``rng``'s ``n_dst`` draws without replacement from a pool
+    of ``pool_size``; read-only.
+
+    ``gen.choice(pool, k, replace=False)`` equals ``pool[gen.choice(len(pool),
+    k, replace=False)]``, so the draw depends only on the sizes.
+    """
+    positions = rng.generator().choice(pool_size, size=n_dst, replace=False)
+    positions.flags.writeable = False
+    return positions
 
 
 def plan_tome_grid(tokens: TokenMatrix, config: MergeConfig, rng: Rng) -> MergePlan:
@@ -65,15 +108,7 @@ def plan_tome_grid(tokens: TokenMatrix, config: MergeConfig, rng: Rng) -> MergeP
     if h % 2 or w % 2:
         raise ValueError(f"grid {tokens.grid} must have even height and width")
     counts = counts_for(tokens.n_tokens, dataclasses.replace(config, k=_GRID_DST_FRACTION))
-
-    ch, cw = h // 2, w // 2
-    gen = rng.generator()
-    offsets = gen.integers(0, 4, size=ch * cw)
-    cell = np.arange(ch * cw)
-    rows = (cell // cw) * 2 + offsets // 2
-    cols = (cell % cw) * 2 + offsets % 2
-    dst = np.sort(rows * w + cols)
-    return _plan_from_dst(tokens, dst, counts.n_independent)
+    return _plan_from_dst(tokens, _grid_dst(rng, h, w), counts.n_independent)
 
 
 def plan_importance_pool(
@@ -98,9 +133,7 @@ def plan_importance_pool(
     # makes the pool == full-set regime consume the stream exactly like a
     # draw over arange(n).
     pool = np.sort(rank_tokens(importance)[: counts.pool_size])
-
-    gen = rng.generator()
-    dst = np.sort(gen.choice(pool, size=counts.n_dst, replace=False))
+    dst = np.sort(pool[_pool_draw(rng, counts.pool_size, counts.n_dst)])
     in_pool = np.zeros(n, dtype=bool)
     in_pool[pool] = True
     return _plan_from_dst(tokens, dst, counts.n_independent, eligible=in_pool)

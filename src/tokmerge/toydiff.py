@@ -177,11 +177,17 @@ class LayerEvent:
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Equal bit for bit to (x - mean) / sqrt(x.var() + eps) * g + b, with the
-    # centred rows computed once and normalized in place.
-    d = x - x.mean(axis=1, keepdims=True)
-    var = np.square(d).mean(axis=1, keepdims=True)
-    d /= np.sqrt(var + x.dtype.type(1e-5))
+    # Equal bit for bit to (x - x.mean) / sqrt(x.var() + eps) * g + b: each
+    # mean is the add.reduce and division by n that .mean runs, without its
+    # Python wrapper, and the centred rows are normalized in place.
+    n = x.shape[1]
+    mean = np.add.reduce(x, axis=1, keepdims=True)
+    mean /= n
+    d = x - mean
+    var = np.add.reduce(d * d, axis=1, keepdims=True)
+    var /= n
+    var += x.dtype.type(1e-5)
+    d /= np.sqrt(var, out=var)
     d *= g
     d += b
     return d
@@ -229,9 +235,10 @@ def attention(
     for rows in blocks:
         s = np.matmul(q[rows], kt, out=scores[: rows.stop - rows.start])
         s *= scale
-        s -= s.max(axis=1, keepdims=True)
+        # The ufunc reductions that .max and .sum run, without their wrappers.
+        s -= np.maximum.reduce(s, axis=1, keepdims=True)
         np.exp(s, out=s)
-        s /= s.sum(axis=1, keepdims=True)
+        s /= np.add.reduce(s, axis=1, keepdims=True)
         np.matmul(s, v, out=o[rows])
     return o @ wo
 

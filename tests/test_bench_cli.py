@@ -88,6 +88,14 @@ def test_non_finite_setting_is_rejected_by_name(name, value):
             HarnessParams(**{name: value})
 
 
+@pytest.mark.parametrize("name, value", [("steps", 2.5), ("prune_steps", 1.5),
+                                         ("steps", 4.0), ("tokens", 16.0),
+                                         ("channels", 8.0), ("seed", 0.5)])
+def test_non_integer_count_is_rejected_by_name(name, value):
+    with pytest.raises(ConfigInfeasibleError, match=f"^{name}=.* must be an integer"):
+        HarnessParams(**{"tokens": 16, "channels": 8, name: value})
+
+
 @pytest.mark.parametrize(
     "run, kwargs, name",
     [(run_bench, {"n_seeds": 0}, "n_seeds"), (run_bench, {"repeats": 0}, "repeats"),

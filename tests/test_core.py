@@ -19,6 +19,7 @@ from tokmerge import (
     counts_for,
     identity_plan,
 )
+from tokmerge.rng import Rng
 
 
 def plan(n, dst, ind, merged):
@@ -36,6 +37,28 @@ def test_token_matrix_rejects_non_finite():
         TokenMatrix(np.array([[1.0, np.nan]]))
     with pytest.raises(ValueError, match="finite"):
         TokenMatrix(np.array([[np.inf, 0.0]]))
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3, 4), (0, 3), (3, 0)])
+def test_token_matrix_rejects_non_matrix_shapes(shape):
+    with pytest.raises(ValueError, match="n_tokens, n_channels"):
+        TokenMatrix(np.zeros(shape))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8, bool])
+def test_token_matrix_upcasts_non_float_data_to_float64(dtype):
+    tm = TokenMatrix(np.array([[1, 0], [0, 1]], dtype=dtype))
+    assert tm.data.dtype == np.float64
+    np.testing.assert_array_equal(tm.data, [[1.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_token_matrix_keeps_float_data_as_is(dtype):
+    data = np.ones((3, 2), dtype=dtype)
+    assert TokenMatrix(data).data is data
+    data[1, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        TokenMatrix(data)
 
 
 def test_token_matrix_rejects_bad_grid():
@@ -87,6 +110,31 @@ def test_config_allows_k_plus_r_equal_one():
     counts = counts_for(64, cfg)
     assert counts.n_independent == 0
     assert counts.n_out == counts.n_dst == 16
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, math.nan, math.inf, "3"])
+def test_config_rejects_non_integer_prune_steps_by_name(value):
+    with pytest.raises(ConfigInfeasibleError, match="^prune_steps=.* must be an integer"):
+        MergeConfig("importance-pool", r=0.5, prune_steps=value)
+
+
+def test_config_keeps_integer_prune_steps_of_any_integer_type():
+    cfg = MergeConfig("importance-pool", r=0.5, prune_steps=np.int64(3))
+    assert cfg.prune_steps == 3 and type(cfg.prune_steps) is int
+
+
+@pytest.mark.parametrize("key", [(0, 3.0, 1), (0.0, 3, 1), (0, 3, "1"), (np.float64(2), 0, 0)])
+def test_rng_rejects_non_integer_stream_ids_by_name(key):
+    name = ("seed", "timestep", "layer")[[type(v) is not int for v in key].index(True)]
+    with pytest.raises(TypeError, match=f"^Rng {name}=.* must be an integer"):
+        Rng(*key)
+
+
+def test_rng_normalizes_integer_stream_ids():
+    rng = Rng(np.int64(5), np.uint32(3), 1)
+    assert rng == Rng(5, 3, 1) and hash(rng) == hash(Rng(5, 3, 1))
+    assert all(type(v) is int for v in (rng.seed, rng.timestep, rng.layer))
+    np.testing.assert_array_equal(rng.generator().random(4), Rng(5, 3, 1).generator().random(4))
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +247,33 @@ def test_plan_rejects_merge_target_outside_dst():
 def test_plan_rejects_unsorted_indices(arrays):
     with pytest.raises(InvalidPlanError, match="ascending"):
         MergePlan(4, *arrays)
+
+
+@pytest.mark.parametrize(
+    "arrays",
+    [
+        ([0], [], [2, 1, 3], [0, 0, 0]),  # sources, with no independents
+        ([0, 3], [2, 1], [], []),  # independents, with no sources
+        ([1, 0], [], [], []),  # dst alone
+    ],
+)
+def test_plan_rejects_unsorted_indices_next_to_empty_arrays(arrays):
+    with pytest.raises(InvalidPlanError, match="ascending"):
+        MergePlan(sum(map(len, arrays[:3])), *arrays)
+
+
+def test_plan_arrays_may_descend_where_they_join():
+    for n, arrays in (
+        (4, ([2, 3], [], [0, 1], [0, 1])),
+        (4, ([3], [1, 2], [0], [0])),
+        (3, ([2], [0, 1], [], [])),
+    ):
+        assert MergePlan(n, *arrays).n_out == len(arrays[0]) + len(arrays[1])
+
+
+def test_plan_rejects_huge_index_without_counting_up_to_it():
+    with pytest.raises(InvalidPlanError, match="partition"):
+        MergePlan(3, [0], [10**15], [1], [0])
 
 
 def test_plan_rejects_empty_dst():
@@ -413,3 +488,45 @@ def test_prune_agrees_with_merge_on_singleton_groups(seed):
     np.testing.assert_array_equal(
         apply_prune(tokens, p).data, apply_merge(tokens, p).data
     )
+
+
+# ---------------------------------------------------------------------------
+# apply_* against the forms they replaced
+# ---------------------------------------------------------------------------
+
+def reference_apply_merge(data, p):
+    dst = data[p.dst_indices]
+    if p.n_merged:
+        group = np.concatenate([np.arange(dst.shape[0]), p.merged_dst_pos])
+        order = np.argsort(group, kind="stable")
+        rows = np.concatenate([p.dst_indices, p.merged_sources])[order]
+        sizes = np.bincount(group)
+        sums = np.add.reduceat(data[rows].astype(np.float64), np.cumsum(sizes) - sizes)
+        sums /= sizes[:, None]
+        dst = sums.astype(data.dtype, copy=False)
+    return np.concatenate([dst, data[p.independent_indices]], axis=0)
+
+
+def reference_apply_unmerge(data, p):
+    n_dst = p.dst_indices.size
+    out = np.empty((p.n_in, data.shape[1]), dtype=data.dtype)
+    out[p.dst_indices] = data[:n_dst]
+    out[p.independent_indices] = data[n_dst:]
+    if p.n_merged:
+        out[p.merged_sources] = data[p.merged_dst_pos]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_apply_kernels_equal_their_reference_forms(seed):
+    tokens, p = random_plan_and_tokens(seed, n_max=600)
+    for data in (tokens.data, (tokens.data * 1e3).astype(np.float32)):
+        merged = apply_merge(TokenMatrix(data), p).data
+        expected = reference_apply_merge(data, p)
+        assert merged.dtype == expected.dtype
+        np.testing.assert_array_equal(merged.view(np.uint8), expected.view(np.uint8))
+        pruned = apply_prune(TokenMatrix(data), p).data
+        np.testing.assert_array_equal(
+            pruned, np.concatenate([data[p.dst_indices], data[p.independent_indices]]))
+        restored = apply_unmerge(TokenMatrix(merged), p).data
+        np.testing.assert_array_equal(restored, reference_apply_unmerge(merged, p))

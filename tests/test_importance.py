@@ -21,6 +21,17 @@ def test_guidance_magnitude_hand_value():
     np.testing.assert_allclose(imp.scores, [0.5])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_guidance_magnitude_equals_widened_mean_form(dtype):
+    gen = np.random.default_rng(3)
+    a = (gen.standard_normal((256, 32)) * 10.0 ** gen.uniform(-4, 4, (256, 1))).astype(dtype)
+    b = (gen.standard_normal((256, 32)) * 10.0 ** gen.uniform(-4, 4, (256, 1))).astype(dtype)
+    expected = np.abs(a.astype(np.float64) - b.astype(np.float64)).mean(axis=1)
+    scores = guidance_magnitude(TokenMatrix(a), TokenMatrix(b)).scores
+    assert scores.dtype == expected.dtype
+    np.testing.assert_array_equal(scores.view(np.uint64), expected.view(np.uint64))
+
+
 def test_guidance_magnitude_zero_when_predictions_agree():
     x = TokenMatrix(np.random.default_rng(0).standard_normal((6, 4)))
     imp = guidance_magnitude(x, x)
@@ -97,6 +108,15 @@ def test_rank_tokens_descending_with_index_tiebreak():
 def test_rank_tokens_all_equal_is_identity():
     imp = ImportanceMap(np.full(7, 0.4))
     np.testing.assert_array_equal(rank_tokens(imp), np.arange(7))
+
+
+@pytest.mark.parametrize("levels", [1, 2, 4, 16])
+def test_rank_tokens_breaks_many_ties_by_index(levels):
+    # One level makes every score equal; with more, a sort that is not
+    # stable (numpy's quicksort) reorders the ties at this size.
+    scores = np.random.default_rng(levels).integers(0, levels, 4096).astype(np.float64)
+    by_score_then_index = np.lexsort((np.arange(scores.size), -scores))
+    np.testing.assert_array_equal(rank_tokens(ImportanceMap(scores)), by_score_then_index)
 
 
 def test_rank_tokens_increasing_scores_reverse():

@@ -238,3 +238,51 @@ def test_blocked_link_best_equals_unblocked_kernel(n_src):
     assert assignment.dtype == np.int64
     np.testing.assert_array_equal(assignment, ref_assignment)
     np.testing.assert_array_equal(scores.view(np.uint64), ref_scores.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# Rewritten kernels against their reference forms
+# ---------------------------------------------------------------------------
+
+def reference_unit_rows(x):
+    x = np.asarray(x, dtype=np.float64)
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    return x / np.where(norms > 0.0, norms, 1.0)
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint8), expected.view(np.uint8))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_unit_rows_equal_norm_and_where_form(dtype):
+    gen = np.random.default_rng(7)
+    x = gen.standard_normal((64, 12)) * 10.0 ** gen.uniform(-20, 20, (64, 1))
+    x[3] = 0.0
+    x[5, 2] = np.inf
+    x[6, 0] = -np.inf
+    x[7, 4] = np.nan
+    x[8] = [np.inf] * 6 + [-np.inf] * 6
+    x = x.astype(dtype)
+    before = x.copy()
+    with np.errstate(invalid="ignore", over="ignore"):
+        actual, expected = _unit_rows(x), reference_unit_rows(x)
+    assert_same_bits(actual, expected)
+    np.testing.assert_array_equal(actual[3], 0.0)
+    assert_same_bits(x, before)  # the argument is left as it was
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_link_best_equals_separately_normalized_operands(seed):
+    gen = np.random.default_rng(seed)
+    n_src, n_dst = int(gen.integers(1, 1300)), int(gen.integers(1, 300))
+    c = int(gen.integers(2, 70))
+    dtype = np.float32 if seed % 2 else np.float64
+    src = (gen.standard_normal((n_src, c)) * 10.0 ** gen.uniform(-5, 5, (n_src, 1))).astype(dtype)
+    dst = (gen.standard_normal((n_dst, c)) * 10.0 ** gen.uniform(-5, 5, (n_dst, 1))).astype(dtype)
+    src[gen.random(n_src) < 0.05] = 0.0
+    sims = reference_unit_rows(src) @ reference_unit_rows(dst).T
+    assignment, scores = link_best(src, dst)
+    np.testing.assert_array_equal(assignment, np.argmax(np.clip(sims, -1.0, 1.0), axis=1))
+    assert_same_bits(scores, np.clip(sims.max(axis=1), -1.0, 1.0))

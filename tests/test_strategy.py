@@ -1,6 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
+from tokmerge import strategy as strategy_module
 from tokmerge import (
     ConfigInfeasibleError,
     ImportanceMap,
@@ -14,6 +18,7 @@ from tokmerge import (
     plan_topk_dst,
     rank_tokens,
 )
+from tokmerge.strategy import _plan_from_dst
 
 
 def make_tokens(seed, n, c=8, grid=None):
@@ -298,3 +303,113 @@ def test_strategies_share_reduced_count_formula():
             cfg = MergeConfig(strategy, r=r, k=0.25, p=0.4)
             plan = build_any_plan(strategy, tokens, imp, cfg, Rng(seed).at(0, 0))
             assert plan.n_out == counts_for(n, cfg).n_out
+
+
+# ---------------------------------------------------------------------------
+# Memoised dst selection against the per-call reference
+# ---------------------------------------------------------------------------
+
+def reference_ranking(imp):
+    """Ranking as computed per call before the map cached it."""
+    return np.argsort(-imp.scores, kind="stable").astype(np.int64)
+
+
+def reference_plan(strategy, tokens, imp, cfg, rng):
+    """Each planner's dst selection with a fresh generator on every call and
+    an argsort per ranking, then the shared link-and-split step."""
+    n = tokens.n_tokens
+    if strategy == "tome-random-grid":
+        h, w = tokens.grid
+        ch, cw = h // 2, w // 2
+        gen = rng.generator()
+        offsets = gen.integers(0, 4, size=ch * cw)
+        cell = np.arange(ch * cw)
+        rows = (cell // cw) * 2 + offsets // 2
+        cols = (cell % cw) * 2 + offsets % 2
+        counts = counts_for(n, dataclasses.replace(cfg, k=0.25))
+        return _plan_from_dst(tokens, np.sort(rows * w + cols), counts.n_independent)
+    counts = counts_for(n, cfg)
+    if strategy == "importance-pool":
+        pool = np.sort(reference_ranking(imp)[: counts.pool_size])
+        gen = rng.generator()
+        dst = np.sort(gen.choice(pool, size=counts.n_dst, replace=False))
+        in_pool = np.zeros(n, dtype=bool)
+        in_pool[pool] = True
+        return _plan_from_dst(tokens, dst, counts.n_independent, eligible=in_pool)
+    dst = np.sort(reference_ranking(imp)[: counts.n_dst])
+    return _plan_from_dst(tokens, dst, counts.n_independent)
+
+
+PLAN_GRID = [
+    (n, seed, r, strategy)
+    for n in (16, 64, 144, 256)
+    for seed in range(6)
+    for r in (0.0, 0.3, 0.5, 0.7)
+    for strategy in ("tome-random-grid", "importance-pool", "topk-dst")
+]
+
+
+def plan_case(n, seed):
+    side = math.isqrt(n)
+    gen = np.random.default_rng(1000 * n + seed)
+    tokens = TokenMatrix(gen.standard_normal((n, 8)).astype(np.float32), grid=(side, side))
+    return tokens, gen.random(n)
+
+
+@pytest.mark.parametrize("reference_first", [False, True])
+def test_memoised_planners_equal_per_call_reference(reference_first):
+    assert len(PLAN_GRID) == 288
+    for _ in range(2):  # the second pass runs after the caches evicted its keys
+        for n, seed, r, strategy in PLAN_GRID:
+            tokens, scores = plan_case(n, seed)
+            cfg = MergeConfig(strategy, r=r)
+            rng = Rng(seed).at(3, 1)
+            imp = ImportanceMap(scores)
+            if reference_first:
+                expected = reference_plan(strategy, tokens, ImportanceMap(scores), cfg, rng)
+            plans = [build_any_plan(strategy, tokens, imp, cfg, rng) for _ in range(2)]
+            if not reference_first:
+                expected = reference_plan(strategy, tokens, ImportanceMap(scores), cfg, rng)
+            assert plans[0] == expected and plans[1] == expected, (n, seed, r, strategy)
+    for draws in (strategy_module._grid_dst, strategy_module._pool_draw):
+        info = draws.cache_info()
+        assert info.hits and info.currsize == info.maxsize
+
+
+def test_pool_draw_by_position_equals_draw_from_the_pool():
+    gen = np.random.default_rng(5)
+    for case in range(300):
+        size = int(gen.integers(1, 400))
+        k = int(gen.integers(1, size + 1))
+        pool = np.sort(gen.choice(4 * size, size=size, replace=False))
+        rng = Rng(case).at(int(gen.integers(0, 50)), int(gen.integers(0, 4)))
+        direct = rng.generator().choice(pool, size=k, replace=False)
+        np.testing.assert_array_equal(pool[strategy_module._pool_draw(rng, size, k)], direct)
+
+
+def test_cached_selection_arrays_are_read_only():
+    tokens, scores = plan_case(64, 0)
+    imp = ImportanceMap(scores)
+    cfg = MergeConfig("importance-pool", r=0.7)
+    grid_plan = plan_tome_grid(tokens, cfg, Rng(0).at(1, 0))
+    plan_importance_pool(tokens, imp, cfg, Rng(0).at(1, 0))
+    counts = counts_for(64, cfg)
+    cached = [
+        grid_plan.dst_indices,
+        strategy_module._pool_draw(Rng(0).at(1, 0), counts.pool_size, counts.n_dst),
+        rank_tokens(imp),
+        imp.scores,
+    ]
+    for array in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
+def test_map_ranks_once_and_owns_its_scores():
+    scores = np.array([0.2, 0.9, 0.2, 0.5])
+    imp = ImportanceMap(scores)
+    assert rank_tokens(imp) is rank_tokens(imp)
+    np.testing.assert_array_equal(rank_tokens(imp), [1, 3, 0, 2])
+    scores[1] = 0.0  # the caller's array is not the map's
+    np.testing.assert_array_equal(imp.scores, [0.2, 0.9, 0.2, 0.5])
+    np.testing.assert_array_equal(rank_tokens(imp), [1, 3, 0, 2])

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import logging
 import math
 import tracemalloc
@@ -354,6 +355,46 @@ def test_sample_matched_seeds_share_noise_streams():
     np.testing.assert_array_equal(a.data, b.data)
 
 
+def test_pool_merge_step_plans_each_layer_once_for_both_passes(monkeypatch):
+    # One dst-draw generator per layer and one ranking of the map per merge
+    # step; the cond and uncond passes of a layer get the same dst tokens.
+    draws, rankings = [], []
+    generator = Rng.generator
+
+    def counted_generator(rng):
+        draws.append((rng.timestep, rng.layer))
+        return generator(rng)
+
+    ranking = ImportanceMap.ranking.func
+
+    def counted_ranking(imp):
+        rankings.append(imp)
+        return ranking(imp)
+
+    counted = functools.cached_property(counted_ranking)
+    counted.__set_name__(ImportanceMap, "ranking")
+    monkeypatch.setattr(Rng, "generator", counted_generator)
+    monkeypatch.setattr(ImportanceMap, "ranking", counted)
+    events = []
+    steps, n_layers = 3, small_model().n_blocks
+    cfg = MergeConfig("importance-pool", r=0.7, prune_steps=1)
+    sample(small_model(), NoiseSchedule.linear(steps), cfg, 7.5, 1, Rng(4), (8, 8),
+           hook=events.append)
+    merge_steps = [t for t in range(steps, 0, -1)][cfg.prune_steps:]
+    for t in merge_steps:
+        layer_draws = [layer for step, layer in draws if step == t and layer < n_layers]
+        assert sorted(layer_draws) == list(range(n_layers))
+    assert len(rankings) == len(merge_steps)
+    assert len({id(imp) for imp in rankings}) == len(merge_steps)
+    merged = [ev for ev in events if ev.mode == MODE_MERGE]
+    assert len(merged) == 2 * n_layers * len(merge_steps)
+    for cond in (ev for ev in merged if ev.pass_id == "cond"):
+        (uncond,) = [ev for ev in merged if ev.pass_id == "uncond"
+                     and (ev.step_index, ev.layer) == (cond.step_index, cond.layer)]
+        np.testing.assert_array_equal(cond.plan.dst_indices, uncond.plan.dst_indices)
+        assert cond.importance is uncond.importance
+
+
 def test_denoiser_rejects_bad_condition():
     model = small_model()
     x = TokenMatrix(np.zeros((4, 8), dtype=np.float32))
@@ -491,6 +532,15 @@ def test_layer_norm_and_gelu_equal_unfused_expressions(seed, rows, cols, scale):
     b = gen.standard_normal(cols, dtype=np.float32)
     assert_same_bits(_layer_norm(x, g, b), reference_layer_norm(x, g, b))
     assert_same_bits(_gelu(x), reference_gelu(x))
+
+
+@pytest.mark.parametrize("rows, cols", [(256, 32), (4096, 32), (4096, 64)])
+def test_layer_norm_equals_mean_var_form_at_workload_shapes(rows, cols):
+    gen = np.random.default_rng(rows + cols)
+    x = gen.standard_normal((rows, cols), dtype=np.float32) * np.float32(3.0)
+    g = gen.standard_normal(cols, dtype=np.float32)
+    b = gen.standard_normal(cols, dtype=np.float32)
+    assert_same_bits(_layer_norm(x, g, b), reference_layer_norm(x, g, b))
 
 
 def test_gelu_leaves_its_argument_unchanged():
