@@ -18,7 +18,7 @@ from .core import (
     counts_for,
     identity_plan,
 )
-from .importance import guidance_magnitude, rank_tokens, resample_importance
+from .importance import guidance_magnitude, rank_tokens
 from .matching import paired_cosine
 from .rng import Rng
 from .strategy import plan_importance_pool, plan_tome_grid, plan_topk_dst
@@ -61,7 +61,6 @@ __all__ = [
     "plan_tome_grid",
     "plan_topk_dst",
     "rank_tokens",
-    "resample_importance",
     "sample",
     "scheduled_plan",
 ]

@@ -21,7 +21,6 @@ from .core import (
     STRATEGY_GRID,
     STRATEGY_NONE,
     STRATEGY_POOL,
-    STRATEGY_TOPK,
     ConfigInfeasibleError,
     ImportanceMap,
     MergeConfig,
@@ -33,11 +32,10 @@ from .core import (
 )
 from .flops import FlopModel
 from .fmap import CaptureRecord, write_capture
-from .importance import rank_tokens
 from .matching import paired_cosine
 from .rng import Rng
-# Unused here, but bound so that tracers can wrap the planners in this module.
-from .strategy import plan_importance_pool, plan_tome_grid, plan_topk_dst  # noqa: F401
+# The planners are unused here, but bound so that tracers can wrap them in this module.
+from .strategy import plan_importance_pool, plan_tome_grid, plan_topk_dst, top_tokens  # noqa: F401
 from .toydiff import MODE_MERGE, NoiseSchedule, ToyDenoiser, sample
 
 # Stream id offset for the random-assignment control oracle.
@@ -137,7 +135,7 @@ def _pool_violations(tokens: TokenMatrix, importance: ImportanceMap, plan: Merge
     """How many dst/independent indices fall outside the top-K importance set."""
     counts = counts_for(tokens.n_tokens, config)
     in_pool = np.zeros(tokens.n_tokens, dtype=bool)
-    in_pool[rank_tokens(importance)[: counts.pool_size]] = True
+    in_pool[top_tokens(importance, counts.pool_size)] = True
     selected = np.concatenate([plan.dst_indices, plan.independent_indices])
     return int(np.count_nonzero(~in_pool[selected]))
 
@@ -149,15 +147,11 @@ def _mse(a: TokenMatrix, b: TokenMatrix) -> float:
 
 def _traced_peak(run: Callable[[], TokenMatrix]) -> tuple[TokenMatrix, int]:
     """``run()``'s result and the peak bytes traced by ``tracemalloc`` during it."""
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
+    tracemalloc.start()
     try:
         return run(), tracemalloc.get_traced_memory()[1]
     finally:
-        if not was_tracing:
-            tracemalloc.stop()
+        tracemalloc.stop()
 
 
 def _median_seconds(call: Callable[[], object], repeats: int, warmups: int) -> float:
@@ -243,9 +237,7 @@ def run_bench(
             tokens=params.tokens, channels=params.channels, status="ok",
         )
         try:
-            n_out = params.tokens
-            if strategy != STRATEGY_NONE:
-                n_out = counts_for(params.tokens, params.config(strategy, r)).n_out
+            n_out = counts_for(params.tokens, params.config(strategy, r)).n_out
             first = trajectory(strategy, r, seeds[0], condition)
             latency = _median_seconds(first, repeats, warmups)
             out, peak = _traced_peak(first)
@@ -335,45 +327,43 @@ def run_capture(
 
     One record per (step, layer) from the conditional pass: the layer's input
     tokens plus the guidance map that would drive planning at that step
-    (zeros at the first step, where no previous-step map exists yet).
-    Returns (record count, bytes written).
+    (zeros at the first step, where no previous-step map exists yet;
+    :func:`_record_layer` reads them back as no map).  Returns (record count,
+    bytes written).
     """
     events = []
     trajectory = _trajectories(params, params.model())
     trajectory(STRATEGY_NONE, 0.0, params.seed, condition, events.append)()
-    records = []
-    for ev in events:
-        if ev.pass_id != "cond":
-            continue
-        n = ev.tokens.n_tokens
-        if ev.importance is not None:
-            guidance = ev.importance.scores.astype(np.float32)
-        else:
-            guidance = np.zeros(n, dtype=np.float32)
-        records.append(
-            CaptureRecord(
-                ev.timestep, ev.layer,
-                ev.tokens.data.astype(np.float32, copy=False), guidance,
-            )
-        )
+    records = [
+        CaptureRecord(ev.timestep, ev.layer, ev.tokens.data,
+                      np.zeros(ev.tokens.n_tokens) if ev.importance is None
+                      else ev.importance.scores)
+        for ev in events if ev.pass_id == "cond"
+    ]
     n_bytes = write_capture(out_path, records)
     return len(records), n_bytes
+
+
+def _record_layer(record: CaptureRecord) -> tuple[TokenMatrix, ImportanceMap | None]:
+    """A captured record's layer tokens, on a square grid where the token count
+    is a perfect square, and the guidance map its layer was planned from: None
+    for :func:`run_capture`'s all-zero guidance."""
+    n = record.features.shape[0]
+    side = math.isqrt(n)
+    grid = (side, side) if side > 0 and side * side == n else None
+    importance = ImportanceMap(record.guidance) if record.guidance.any() else None
+    return TokenMatrix(record.features, grid=grid), importance
 
 
 def plan_for_record(record: CaptureRecord, config: MergeConfig, base: Rng) -> MergePlan:
     """Rebuild the plan ``config.strategy`` would produce for one captured record.
 
-    Plans through :func:`toydiff.plan_layer` on the record's (timestep,
-    layer) stream of ``base``, so matched seeds reproduce in-loop plans.  The
-    grid strategy infers a square token grid.
+    Plans as :func:`run_replay` does: through :func:`toydiff.plan_layer`, on
+    the record's (timestep, layer) stream of ``base`` and with the record's
+    map, so matched seeds reproduce in-loop plans.  A record with no map
+    plans as the sampler's first step does.
     """
-    n = record.features.shape[0]
-    side = math.isqrt(n)
-    grid = (side, side) if side > 0 and side * side == n else None
-    importance = None
-    if config.strategy in (STRATEGY_POOL, STRATEGY_TOPK):
-        importance = ImportanceMap(record.guidance, source_timestep=record.timestep + 1)
-    return toydiff.plan_layer(TokenMatrix(record.features, grid=grid), importance, config,
+    return toydiff.plan_layer(*_record_layer(record), config,
                               base.at(record.timestep, record.layer))
 
 
@@ -394,24 +384,24 @@ def run_replay(
     base = Rng(params.seed)
     for idx, rec in enumerate(records):
         n, c = rec.features.shape
+        layer = None  # built on the first strategy, and again after it failed
         for strategy in strategies:
             row = dict.fromkeys(REPLAY_COLUMNS, "")
             row.update(record=idx, timestep=rec.timestep, layer=rec.layer, n_tokens=n,
                        n_channels=c, strategy=strategy, status="ok")
             try:
                 config = params.config(strategy, ratio)
-                if strategy == STRATEGY_NONE:
-                    expected = n
-                else:
-                    expected = counts_for(n, config).n_out
-                plan = plan_for_record(rec, config, base)
+                expected = counts_for(n, config).n_out
+                if layer is None:
+                    layer = _record_layer(rec)
+                plan = toydiff.plan_layer(*layer, config, base.at(rec.timestep, rec.layer))
                 coh = merge_cohesion(rec.features, plan,
                                      base.at(rec.timestep, _CONTROL_LAYER + rec.layer))
                 row.update(expected_n_out=expected, actual_n_out=plan.n_out,
                            count_ok=plan.n_out == expected)
                 if coh is not None:
                     row.update(homogeneity=coh[0], homogeneity_random=coh[1])
-            except (ValueError, ConfigInfeasibleError) as exc:
+            except ValueError as exc:
                 row["status"] = f"error: {exc}"
             rows.append(row)
     return rows

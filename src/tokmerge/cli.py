@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
 import sys
 
 from .bench import (
@@ -66,6 +67,11 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
+def _default(run, name: str):
+    """The default of ``run``'s parameter ``name``, which a flag shares."""
+    return inspect.signature(run).parameters[name].default
+
+
 def _strategy_flag(p: argparse.ArgumentParser, default: list[str]) -> None:
     # An "append" flag cannot take a list default: given values would extend it.
     p.add_argument("--strategy", action="append", choices=sorted(_STRATEGY_BY_FLAG),
@@ -90,11 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--ratio", action="append", type=float, default=None,
                    help="merge ratio, repeatable (default: "
                         f"{' '.join(map(str, _BENCH_RATIOS))})")
-    b.add_argument("--seeds", type=int, default=1,
+    b.add_argument("--seeds", type=int, default=_default(run_bench, "n_seeds"),
                    help="trajectories averaged for fidelity (default %(default)s)")
-    b.add_argument("--repeats", type=int, default=5,
+    b.add_argument("--repeats", type=int, default=_default(run_bench, "repeats"),
                    help="timed runs per row (default %(default)s)")
-    b.add_argument("--condition", type=int, default=0,
+    b.add_argument("--condition", type=int, default=_default(run_bench, "condition"),
                    help="class condition id (default %(default)s)")
     _add_shared_flags(b)
     b.set_defaults(func=_cmd_bench)
@@ -107,9 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
     _strategy_flag(c, ["tome", "importance", "topk"])
     c.add_argument("--ratio", type=float, default=0.7,
                    help="merge ratio (default %(default)s)")
-    c.add_argument("--seeds", type=int, default=32,
+    c.add_argument("--seeds", type=int, default=_default(run_compare, "n_seeds"),
                    help="seeds in the grid (default %(default)s)")
-    c.add_argument("--conditions", type=int, default=4,
+    c.add_argument("--conditions", type=int, default=_default(run_compare, "n_conditions"),
                    help="class conditions in the grid (default %(default)s)")
     _add_shared_flags(c)
     c.set_defaults(func=_cmd_compare)
@@ -118,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         "capture",
         help="dump per-layer features and guidance maps of an unmerged run",
     )
-    cap.add_argument("--condition", type=int, default=0,
+    cap.add_argument("--condition", type=int, default=_default(run_capture, "condition"),
                      help="class condition id (default %(default)s)")
     _add_shared_flags(cap)
     cap.set_defaults(func=_cmd_capture)
@@ -213,13 +219,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if not exc.code else 1
     try:
         return args.func(args)
-    except CaptureFormatError as exc:
+    except (CaptureFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigInfeasibleError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

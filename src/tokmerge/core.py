@@ -106,7 +106,6 @@ class ImportanceMap:
     """
 
     scores: np.ndarray
-    source_timestep: int = 0
 
     def __post_init__(self) -> None:
         scores = np.array(self.scores, dtype=np.float64)
@@ -118,7 +117,6 @@ class ImportanceMap:
             raise ValueError("importance scores must be non-negative")
         scores.flags.writeable = False
         object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "source_timestep", int(self.source_timestep))
 
     def __len__(self) -> int:
         return self.scores.shape[0]
@@ -182,7 +180,9 @@ class PlanCounts(NamedTuple):
 def counts_for(n: int, config: MergeConfig) -> PlanCounts:
     """Derive the token-partition counts for ``n`` input tokens.
 
-    All fractional counts floor; the independent count is defined residually
+    ``none`` keeps every token as its own dst, as :func:`identity_plan` does
+    for any ``n``: ``(n, n, 0, n)``.  For the merging strategies all
+    fractional counts floor; the independent count is defined residually
     as ``n_out - n_dst`` so the reduced count is exactly ``floor(n * (1-r))``.
     The pool is clamped into ``[n_out, n]``.
 
@@ -190,6 +190,8 @@ def counts_for(n: int, config: MergeConfig) -> PlanCounts:
         ConfigInfeasibleError: if rounding produces no destinations or a
             negative independent count.
     """
+    if config.strategy == STRATEGY_NONE:
+        return PlanCounts(n, n, 0, n)
     if n < 4:
         raise ConfigInfeasibleError(f"need at least 4 tokens, got {n}")
     n_dst = _floor_count(n * config.k)

@@ -14,10 +14,6 @@ def attention_flops(n_tokens: int, n_channels: int) -> int:
     return 8 * n_tokens * n_channels**2 + 4 * n_tokens**2 * n_channels
 
 
-def attention_quadratic_flops(n_tokens: int, n_channels: int) -> int:
-    return 4 * n_tokens**2 * n_channels
-
-
 def mlp_flops(n_tokens: int, n_channels: int, n_hidden: int) -> int:
     return 2 * n_tokens * n_channels * n_hidden * 2
 

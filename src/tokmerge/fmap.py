@@ -7,6 +7,7 @@ Layout:
     count   u32      number of records
     record: timestep u32, layer u32, n u32, c u32,
             n*c feature float32s, then n guidance float32s
+            (all zeros where the layer had no guidance map yet)
 
 All integers and floats are little-endian regardless of platform.  The parser
 validates every declared count against the remaining byte budget before

@@ -7,9 +7,7 @@ import numpy as np
 from .core import ImportanceMap, TokenMatrix
 
 
-def guidance_magnitude(
-    eps_cond: TokenMatrix, eps_uncond: TokenMatrix, source_timestep: int = 0
-) -> ImportanceMap:
+def guidance_magnitude(eps_cond: TokenMatrix, eps_uncond: TokenMatrix) -> ImportanceMap:
     """Score each token by the magnitude of its guidance correction.
 
     The score is the channel mean of |eps_cond - eps_uncond| per token, so it
@@ -24,7 +22,7 @@ def guidance_magnitude(
     diff = np.subtract(eps_cond.data, eps_uncond.data, dtype=np.float64)
     scores = np.add.reduce(np.abs(diff, out=diff), axis=1)
     scores /= diff.shape[1]
-    return ImportanceMap(scores, source_timestep=source_timestep)
+    return ImportanceMap(scores)
 
 
 def resample_importance(
@@ -47,7 +45,7 @@ def resample_importance(
         )
     fh, fw = h // h2, w // w2
     pooled = imp.scores.reshape(h2, fh, w2, fw).mean(axis=(1, 3))
-    return ImportanceMap(pooled.reshape(-1), source_timestep=imp.source_timestep)
+    return ImportanceMap(pooled.reshape(-1))
 
 
 def rank_tokens(imp: ImportanceMap) -> np.ndarray:

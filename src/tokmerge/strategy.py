@@ -67,6 +67,11 @@ def _plan_from_dst(
     return MergePlan(n, dst, src[~merged], src[merged], assignment[merged])
 
 
+def top_tokens(importance: ImportanceMap, k: int) -> np.ndarray:
+    """The ``k`` top tokens of ``importance`` (:func:`rank_tokens`), ascending."""
+    return np.sort(rank_tokens(importance)[:k])
+
+
 @lru_cache(maxsize=_DRAWS_CACHED)
 def _grid_dst(rng: Rng, h: int, w: int) -> np.ndarray:
     """The sorted dst tokens of ``rng``'s draw of one token per 2x2 cell of an
@@ -132,7 +137,7 @@ def plan_importance_pool(
     # Ascending order makes the draw a function of pool membership only, and
     # makes the pool == full-set regime consume the stream exactly like a
     # draw over arange(n).
-    pool = np.sort(rank_tokens(importance)[: counts.pool_size])
+    pool = top_tokens(importance, counts.pool_size)
     dst = np.sort(pool[_pool_draw(rng, counts.pool_size, counts.n_dst)])
     in_pool = np.zeros(n, dtype=bool)
     in_pool[pool] = True
@@ -154,5 +159,5 @@ def plan_topk_dst(
     if len(importance) != n:
         raise ValueError(f"importance has {len(importance)} scores for {n} tokens")
     counts = counts_for(n, config)
-    dst = np.sort(rank_tokens(importance)[: counts.n_dst])
+    dst = top_tokens(importance, counts.n_dst)
     return _plan_from_dst(tokens, dst, counts.n_independent)

@@ -51,6 +51,8 @@ STEP_NOISE_LAYER = (1 << 20) + 1
 MODE_MERGE = "merge"
 MODE_PRUNE = "prune"
 
+_HIDDEN_MULT = 4  # MLP width per channel
+
 
 @dataclass(frozen=True)
 class NoiseSchedule:
@@ -302,7 +304,6 @@ class ToyDenoiser:
         n_channels: int,
         n_classes: int = 8,
         n_blocks: int = 2,
-        hidden_mult: int = 4,
         seed: int = 0,
     ):
         if n_channels < 4 or n_channels % 2:
@@ -311,7 +312,7 @@ class ToyDenoiser:
             raise ValueError("need n_classes >= 1 and n_blocks >= 1")
         self.n_channels = n_channels
         self.n_classes = n_classes
-        self.n_hidden = hidden_mult * n_channels
+        self.n_hidden = _HIDDEN_MULT * n_channels
         gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(seed & ((1 << 64) - 1)))
         )
@@ -415,8 +416,7 @@ def cfg_predict(
     eps_cond = model.forward(x_t, t, y, bound("cond"))
     eps_uncond = model.forward(x_t, t, None, bound("uncond"))
     guided = combine_guidance(eps_cond, eps_uncond, w)
-    guidance = guidance_magnitude(eps_cond, eps_uncond, source_timestep=t)
-    return guided, guidance
+    return guided, guidance_magnitude(eps_cond, eps_uncond)
 
 
 def _step_planner(

@@ -28,10 +28,17 @@ from tokmerge.bench import (
     run_replay,
 )
 from tokmerge.cli import main
-from tokmerge.core import ConfigInfeasibleError, MergeConfig, TokenMatrix, identity_plan
+from tokmerge.core import (
+    ConfigInfeasibleError,
+    ImportanceMap,
+    MergeConfig,
+    TokenMatrix,
+    identity_plan,
+)
+from tokmerge.flops import FlopModel
 from tokmerge.fmap import CaptureRecord, read_capture, write_capture
 from tokmerge.rng import Rng
-from tokmerge.strategy import plan_importance_pool
+from tokmerge.strategy import plan_importance_pool, plan_tome_grid
 from tokmerge.toydiff import MODE_MERGE, sample
 
 FAST = HarnessParams(tokens=16, channels=8, steps=5, prune_steps=2)
@@ -170,36 +177,42 @@ def test_replay_reproduces_plans_bit_exactly(tmp_path):
         live = plan_for_record(rec, cfg, base)
         again = plan_for_record(rec, cfg, base)
         assert live == again
-        # independent reconstruction from the record fields
+        # independent reconstruction from the record fields; the first step's
+        # records have no map, and plan with grid selection as the sampler does
         tokens = TokenMatrix(rec.features, grid=(4, 4))
-        from tokmerge.core import ImportanceMap
-
-        imp = ImportanceMap(rec.guidance, source_timestep=rec.timestep + 1)
-        direct = plan_importance_pool(tokens, imp, cfg,
-                                      base.at(rec.timestep, rec.layer))
+        rng = base.at(rec.timestep, rec.layer)
+        if rec.timestep == FAST.steps:
+            direct = plan_tome_grid(tokens, cfg, rng)
+        else:
+            direct = plan_importance_pool(tokens, ImportanceMap(rec.guidance), cfg, rng)
         assert live == direct
 
 
 @pytest.mark.parametrize("strategy", ["tome-random-grid", "importance-pool", "topk-dst"])
 @pytest.mark.parametrize("tokens", [64, 256])
 def test_replay_reproduces_in_loop_plans(tokens, strategy):
-    params = HarnessParams(tokens=tokens, channels=8, steps=4, prune_steps=1)
-    model, schedule = params.model(), params.schedule()
-    checked = 0
-    for seed in range(3):
-        config = params.config(strategy, 0.5, seed)
-        events = []
-        sample(model, schedule, config, params.cfg_scale, 0, Rng(seed), params.grid(),
-               hook=events.append)
-        for ev in events:
-            if ev.mode != MODE_MERGE or ev.grid_fallback:
-                continue
-            guidance = (np.zeros(tokens, dtype=np.float32) if ev.importance is None
-                        else ev.importance.scores.astype(np.float32))
-            record = CaptureRecord(ev.timestep, ev.layer, ev.tokens.data, guidance)
-            assert plan_for_record(record, config, Rng(seed)) == ev.plan
-            checked += 1
-    assert checked == 3 * 3 * 2 * 2  # seeds x merge steps x layers x passes
+    # With no prune steps, step 0 merges without a map: pool and topk fall
+    # back to grid selection there, and replay must fall back alike.
+    for prune_steps, merge_steps in ((1, 3), (0, 4)):
+        params = HarnessParams(tokens=tokens, channels=8, steps=4, prune_steps=prune_steps)
+        model, schedule = params.model(), params.schedule()
+        checked = fallbacks = 0
+        for seed in range(3):
+            config = params.config(strategy, 0.5, seed)
+            events = []
+            sample(model, schedule, config, params.cfg_scale, 0, Rng(seed), params.grid(),
+                   hook=events.append)
+            for ev in events:
+                if ev.mode != MODE_MERGE:
+                    continue
+                guidance = (np.zeros(tokens, dtype=np.float32) if ev.importance is None
+                            else ev.importance.scores.astype(np.float32))
+                record = CaptureRecord(ev.timestep, ev.layer, ev.tokens.data, guidance)
+                assert plan_for_record(record, config, Rng(seed)) == ev.plan
+                checked += 1
+                fallbacks += ev.grid_fallback
+        assert checked == 3 * merge_steps * 2 * 2  # seeds x merge steps x layers x passes
+        assert fallbacks == (0 if prune_steps or strategy == "tome-random-grid" else 3 * 2 * 2)
 
 
 def test_replay_rows_flag_malformed_records(tmp_path):
@@ -211,6 +224,13 @@ def test_replay_rows_flag_malformed_records(tmp_path):
     assert rows[0]["status"] == "ok"
     assert rows[0]["count_ok"] is True
     assert rows[1]["status"].startswith("error")
+
+
+def test_replay_gives_every_strategy_an_error_row_for_a_malformed_record():
+    bad = CaptureRecord(4, 1, np.full((16, 4), np.nan, dtype=np.float32),
+                        np.ones(16, dtype=np.float32))
+    rows = run_replay([bad], ["none", "importance-pool", "topk-dst"], 0.5, FAST)
+    assert [row["status"] for row in rows] == ["error: token data must be finite"] * 3
 
 
 def test_replay_handles_non_square_grid_strategy():
@@ -401,6 +421,14 @@ def test_cli_capture_unwritable_path_is_io_error():
     code = cli("capture", "--tokens", "16", "--channels", "8", "--steps", "2",
                "--prune-steps", "1", "--out", "/nonexistent-dir/cap.fmap")
     assert code == 2
+
+
+def test_bench_none_row_ignores_a_dst_fraction_too_small_to_merge():
+    params = HarnessParams(tokens=16, channels=8, steps=3, dst_frac=0.01)
+    rows = run_bench(["importance-pool"], [0.5], params, repeats=1, warmups=0)
+    assert [(row["strategy"], row["status"][:10]) for row in rows] == [
+        ("none", "ok"), ("importance-pool", "infeasible")]
+    assert rows[0]["flops_per_step"] == FlopModel(16, 8, 32).step_flops(16)
 
 
 def test_bench_survives_grid_infeasible_prune_phase():

@@ -166,6 +166,14 @@ def test_counts_for_rejects_tiny_inputs():
         counts_for(3, cfg)
 
 
+@pytest.mark.parametrize("n", [1, 3, 16])
+def test_counts_for_none_are_the_identity_plans(n):
+    # none keeps every token, at any n and k, as identity_plan does.
+    counts = counts_for(n, MergeConfig("none", 0.0, k=0.01))
+    assert counts == (n, n, 0, n)
+    assert counts.n_out == identity_plan(n).n_out
+
+
 def test_counts_for_rejects_zero_dst():
     cfg = MergeConfig("importance-pool", r=0.5, k=0.1)
     with pytest.raises(ConfigInfeasibleError, match="no dst"):

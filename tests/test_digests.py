@@ -1,0 +1,106 @@
+"""Literal sha256 digests of the sampler's, the planners' and replay's outputs.
+
+Equal digests mean bit-identical outputs.  A change that alters outputs on
+purpose updates the literal in the same diff; any other change leaves them
+alone.  The bits depend on numpy and its BLAS kernels (see
+``matching._row_blocks``), and on the one BLAS thread ``conftest.py`` sets,
+so a failure prints both.
+"""
+
+import hashlib
+
+import numpy as np
+from test_strategy import PLAN_GRID, build_any_plan, plan_case
+
+from tokmerge.bench import REPLAY_COLUMNS, HarnessParams, run_capture, run_replay
+from tokmerge.core import (
+    STRATEGIES,
+    ImportanceMap,
+    MergeConfig,
+    apply_merge,
+    apply_prune,
+    apply_unmerge,
+)
+from tokmerge.fmap import read_capture
+from tokmerge.rng import Rng
+from tokmerge.toydiff import NoiseSchedule, ToyDenoiser, sample
+
+PLAN_ARRAYS = ("dst_indices", "independent_indices", "merged_sources", "merged_dst_pos")
+
+# (tokens, channels, steps, prune_steps, ratio): every strategy x seeds 0 and 3.
+SAMPLER_CASES = [(64, 16, 8, 2, 0.5), (256, 32, 4, 2, 0.7)]
+
+SAMPLER_DIGEST = "c6b43c1ac067ec600a28db7d51ad7dfa5daec29b97fc8056bab7e7d747cee0f9"
+PLANNER_DIGEST = "8001cd9ec4a7c5992d1f2b55c108ee4c731b2749ecc5f1d8147a4882037ab411"
+REPLAY_DIGEST = "eaef55290250974c5639ebad11bb5580524ca5ce57c2b3cfbcbab18d72538628"
+
+
+class Digest:
+    def __init__(self):
+        self._h = hashlib.sha256()
+
+    def value(self, *values):
+        self._h.update(repr(values).encode())
+
+    def array(self, a):
+        a = np.ascontiguousarray(a)
+        self.value(a.dtype.str, a.shape)
+        self._h.update(a.tobytes())
+
+    def plan(self, plan):
+        self.value(plan.n_in)
+        for name in PLAN_ARRAYS:
+            self.array(getattr(plan, name))
+
+    def hexdigest(self):
+        return self._h.hexdigest()
+
+
+def check(actual, expected):
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert actual == expected, (
+        f"digest {actual} != {expected} with numpy {np.__version__}, BLAS {blas}")
+
+
+def test_sampler_events_and_samples_digest():
+    d = Digest()
+    for n, c, steps, prune_steps, r in SAMPLER_CASES:
+        side = int(n ** 0.5)
+        model, schedule = ToyDenoiser(c, seed=0), NoiseSchedule.linear(steps)
+        for strategy in STRATEGIES:
+            config = MergeConfig(strategy, 0.0 if strategy == "none" else r,
+                                 prune_steps=prune_steps)
+            for seed in (0, 3):
+                events = []
+                out = sample(model, schedule, config, 7.5, 1, Rng(seed), (side, side),
+                             hook=events.append)
+                for ev in events:
+                    d.value(ev.step_index, ev.layer, ev.pass_id, ev.mode, ev.grid_fallback)
+                    d.plan(ev.plan)
+                d.array(out.data)
+    check(d.hexdigest(), SAMPLER_DIGEST)
+
+
+def test_planner_grid_and_apply_digest():
+    d = Digest()
+    for n, seed, r, strategy in PLAN_GRID:
+        tokens, scores = plan_case(n, seed)
+        plan = build_any_plan(strategy, tokens, ImportanceMap(scores),
+                              MergeConfig(strategy, r=r), Rng(seed).at(3, 1))
+        d.plan(plan)
+        merged = apply_merge(tokens, plan)
+        for out in (merged, apply_prune(tokens, plan), apply_unmerge(merged, plan)):
+            d.array(out.data)
+    check(d.hexdigest(), PLANNER_DIGEST)
+
+
+def test_capture_and_replay_digest(tmp_path):
+    params = HarnessParams(tokens=64, channels=16, steps=4, prune_steps=1, seed=5)
+    path = tmp_path / "capture.fmap"
+    run_capture(path, params, condition=2)
+    d = Digest()
+    d.array(np.frombuffer(path.read_bytes(), dtype=np.uint8))
+    for row in run_replay(read_capture(path), list(STRATEGIES), 0.7, params):
+        d.value(*(row[col] for col in REPLAY_COLUMNS))
+    check(d.hexdigest(), REPLAY_DIGEST)
+

@@ -1,10 +1,7 @@
-from fractions import Fraction
-
 from tokmerge.core import MergeConfig, counts_for
 from tokmerge.flops import (
     FlopModel,
     attention_flops,
-    attention_quadratic_flops,
     mlp_flops,
 )
 
@@ -12,16 +9,6 @@ from tokmerge.flops import (
 def test_attention_flops_closed_form():
     assert attention_flops(10, 4) == 8 * 10 * 16 + 4 * 100 * 4
     assert mlp_flops(10, 4, 16) == 2 * 10 * 4 * 16 * 2
-
-
-def test_quadratic_term_ratio_at_seven_tenths():
-    # Reduced count at r=0.7 on 100 tokens is 30; the score/value matmuls
-    # shrink by exactly (30/100)^2.
-    cfg = MergeConfig("importance-pool", r=0.7)
-    reduced = counts_for(100, cfg).n_out
-    ratio = Fraction(attention_quadratic_flops(reduced, 64),
-                     attention_quadratic_flops(100, 64))
-    assert ratio == Fraction(9, 100)
 
 
 def test_step_flops_strictly_decrease_with_ratio():

@@ -9,8 +9,8 @@ from tokmerge import (
     TokenMatrix,
     guidance_magnitude,
     rank_tokens,
-    resample_importance,
 )
+from tokmerge.importance import resample_importance
 
 
 def test_guidance_magnitude_hand_value():
@@ -49,11 +49,6 @@ def test_guidance_magnitude_invariant_under_joint_negation():
 def test_guidance_magnitude_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         guidance_magnitude(TokenMatrix(np.zeros((2, 2))), TokenMatrix(np.zeros((3, 2))))
-
-
-def test_guidance_magnitude_records_source_timestep():
-    x = TokenMatrix(np.ones((2, 2)))
-    assert guidance_magnitude(x, x, source_timestep=17).source_timestep == 17
 
 
 def test_resample_pools_means():

@@ -130,15 +130,6 @@ def test_cfg_predict_is_affine_in_weight():
     np.testing.assert_allclose(outs[2.0], interp, rtol=1e-5, atol=1e-7)
 
 
-def test_cfg_predict_tags_guidance_with_current_timestep():
-    model = small_model()
-    state = make_state(t=9)
-    _, guidance = cfg_predict(model, state.x_t, state.t, state.y, state.w)
-    assert guidance.source_timestep == 9
-    assert len(guidance) == state.x_t.n_tokens
-    assert np.all(guidance.scores >= 0)
-
-
 def test_cfg_predict_deterministic():
     model = small_model()
     a, ga = cfg_predict(model, make_state().x_t, 5, 1, 7.5)
@@ -157,7 +148,7 @@ def test_scheduler_prunes_early_then_merges():
     cfg = MergeConfig("importance-pool", r=0.5, prune_steps=3)
     state = make_state()
     state.prev_guidance = guidance_magnitude(
-        state.x_t, TokenMatrix(np.zeros_like(state.x_t.data)), source_timestep=6
+        state.x_t, TokenMatrix(np.zeros_like(state.x_t.data))
     )
     early = scheduled_plan(1, state.prev_guidance, state.x_t, cfg, Rng(0).at(5, 0))
     assert early.mode == MODE_PRUNE
@@ -264,8 +255,6 @@ def test_sample_prune_schedule_and_guidance_linkage():
         else:
             assert ev.mode == MODE_MERGE
             assert not ev.grid_fallback
-            # the map driving this step's plan came from the previous step
-            assert ev.importance.source_timestep == ev.timestep + 1
     steps_seen = {ev.step_index for ev in events}
     assert steps_seen == set(range(10))
 
