@@ -84,7 +84,6 @@ class HarnessParams:
         if self.channels < 4 or self.channels % 2:
             raise ConfigInfeasibleError(f"channels={self.channels} must be even and >= 4")
         _require_at_least(2, steps=self.steps)
-        _require_at_least(0, prune_steps=self.prune_steps)
         self.config(STRATEGY_NONE, 0.0)  # the merge settings every config shares
 
     def grid(self) -> tuple[int, int]:

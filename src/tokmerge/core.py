@@ -22,6 +22,10 @@ STRATEGY_GRID = "tome-random-grid"
 STRATEGY_POOL = "importance-pool"
 STRATEGY_TOPK = "topk-dst"
 STRATEGIES = (STRATEGY_NONE, STRATEGY_GRID, STRATEGY_POOL, STRATEGY_TOPK)
+# The strategies that plan from a guidance map; without one they use grid selection.
+MAP_STRATEGIES = (STRATEGY_POOL, STRATEGY_TOPK)
+# Grid selection keeps one dst per 2x2 cell, whatever dst fraction is asked for.
+GRID_DST_FRACTION = 0.25
 
 # Decimal ratios are not exactly representable in binary (10 * 0.7 evaluates
 # to 6.999...), so floors of count formulas get a small upward guard.
@@ -134,7 +138,8 @@ class MergeConfig:
     """Strategy choice plus the merge hyper-parameters.
 
     ``r`` is the fraction of tokens removed by merging, ``k`` the destination
-    fraction, ``p`` the pool-size headroom factor, ``prune_steps`` the number
+    fraction (:data:`GRID_DST_FRACTION` for grid selection, whatever is
+    passed), ``p`` the pool-size headroom factor, ``prune_steps`` the number
     of early sampling steps that drop (rather than average) merged tokens.
     """
 
@@ -149,6 +154,8 @@ class MergeConfig:
             raise ConfigInfeasibleError(
                 f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
             )
+        if self.strategy == STRATEGY_GRID:
+            object.__setattr__(self, "k", GRID_DST_FRACTION)
         require_finite(r=self.r, k=self.k, p=self.p)
         if not 0.0 <= self.r < 1.0:
             raise ConfigInfeasibleError(f"merge ratio r={self.r} must be in [0, 1)")
@@ -157,14 +164,14 @@ class MergeConfig:
         # k + r == 1 is allowed: it just leaves zero independent tokens.
         if self.k + self.r > 1.0 + _FLOOR_EPS:
             raise ConfigInfeasibleError(
-                f"k + r = {self.k + self.r} > 1 would need a negative "
+                f"{self.strategy}: k={self.k} + r={self.r} > 1 would need a negative "
                 "independent-token count"
             )
         if self.p < 0.0:
             raise ConfigInfeasibleError(f"pool factor p={self.p} must be >= 0")
         require_integer(prune_steps=self.prune_steps)
         if self.prune_steps < 0:
-            raise ConfigInfeasibleError("prune_steps must be >= 0")
+            raise ConfigInfeasibleError(f"prune_steps={self.prune_steps} must be >= 0")
         object.__setattr__(self, "prune_steps", int(self.prune_steps))
 
 
@@ -197,7 +204,8 @@ def counts_for(n: int, config: MergeConfig) -> PlanCounts:
     n_dst = _floor_count(n * config.k)
     n_out = _floor_count(n * (1.0 - config.r))
     n_independent = n_out - n_dst
-    pool_size = min(n, _floor_count(n * (1.0 - config.r) * (1.0 + config.p)))
+    # Clamped before flooring: a huge finite p makes the product inf.
+    pool_size = _floor_count(min(n, n * (1.0 - config.r) * (1.0 + config.p)))
     pool_size = max(pool_size, n_out)
     if n_dst <= 0:
         raise ConfigInfeasibleError(f"k={config.k} yields no dst tokens for n={n}")

@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
+    STRATEGY_GRID,
     ImportanceMap,
     MergeConfig,
     MergePlan,
@@ -33,7 +34,6 @@ from .importance import rank_tokens
 from .matching import link_best
 from .rng import Rng
 
-_GRID_DST_FRACTION = 0.25  # one dst per 2x2 cell
 # Keys per draw cache: one sampling step's layers, for models of up to four
 # blocks.  A longer cycle of keys, such as a replay of many records, misses.
 _DRAWS_CACHED = 4
@@ -102,17 +102,18 @@ def _pool_draw(rng: Rng, pool_size: int, n_dst: int) -> np.ndarray:
 def plan_tome_grid(tokens: TokenMatrix, config: MergeConfig, rng: Rng) -> MergePlan:
     """Random-grid baseline: one dst per 2x2 cell, merge the most similar src.
 
-    The dst fraction is pinned at 1/4 by the cell layout regardless of
-    ``config.k``; the src tokens with the highest link similarity merge until
-    the reduced count reaches ``floor(n * (1 - r))``, the rest stay
-    independent.
+    ``config`` counts as grid's own whatever its strategy (prune steps and
+    map fallbacks pass the importance strategies' configs), so the dst
+    fraction is :data:`~tokmerge.core.GRID_DST_FRACTION`; the src tokens
+    with the highest link similarity merge until the reduced count reaches
+    ``floor(n * (1 - r))``, the rest stay independent.
     """
     if tokens.grid is None:
         raise ValueError("grid strategy needs tokens with a (height, width) grid")
     h, w = tokens.grid
     if h % 2 or w % 2:
         raise ValueError(f"grid {tokens.grid} must have even height and width")
-    counts = counts_for(tokens.n_tokens, dataclasses.replace(config, k=_GRID_DST_FRACTION))
+    counts = counts_for(tokens.n_tokens, dataclasses.replace(config, strategy=STRATEGY_GRID))
     return _plan_from_dst(tokens, _grid_dst(rng, h, w), counts.n_independent)
 
 

@@ -23,10 +23,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import (
-    STRATEGY_GRID,
+    MAP_STRATEGIES,
     STRATEGY_NONE,
     STRATEGY_POOL,
-    STRATEGY_TOPK,
     ImportanceMap,
     MergeConfig,
     MergePlan,
@@ -124,14 +123,14 @@ def plan_layer(
 ) -> MergePlan:
     """The plan ``config.strategy`` builds for one layer's tokens.
 
-    ``none`` keeps every token.  Grid selection serves ``tome-random-grid``
-    and, lacking an importance map, the importance-driven strategies.  The
-    sampler and replay both plan through here, so matched seeds give the same
-    plans in both.
+    ``none`` keeps every token.  Grid selection serves the strategies outside
+    :data:`~tokmerge.core.MAP_STRATEGIES`, and those in it when ``importance``
+    is None.  The sampler and replay both plan through here, so matched seeds
+    give the same plans in both.
     """
     if config.strategy == STRATEGY_NONE:
         return identity_plan(tokens.n_tokens)
-    if config.strategy == STRATEGY_GRID or importance is None:
+    if config.strategy not in MAP_STRATEGIES or importance is None:
         return plan_tome_grid(tokens, config, rng)
     if config.strategy == STRATEGY_POOL:
         return plan_importance_pool(tokens, importance, config, rng)
@@ -149,14 +148,15 @@ def scheduled_plan(
 
     Early steps (``step_index < prune_steps``) prune with grid selection;
     later steps merge with the plan :func:`plan_layer` builds from
-    ``importance``, the previous step's guidance map.  Importance-driven
-    strategies fall back to grid selection -- with a logged diagnostic, never
-    an exception -- when no map is available yet.  A map whose length differs
-    from the layer's token count raises the planner's ``ValueError``.
+    ``importance``, the previous step's guidance map.  The strategies in
+    :data:`~tokmerge.core.MAP_STRATEGIES` fall back to grid selection -- with
+    a logged diagnostic and ``grid_fallback`` set, never an exception -- when
+    no map is available yet.  A map whose length differs from the layer's
+    token count raises the planner's ``ValueError``.
     """
     if config.strategy != STRATEGY_NONE and step_index < config.prune_steps:
         return ScheduledPlan(plan_tome_grid(layer_tokens, config, rng), MODE_PRUNE)
-    fallback = importance is None and config.strategy in (STRATEGY_POOL, STRATEGY_TOPK)
+    fallback = importance is None and config.strategy in MAP_STRATEGIES
     if fallback:
         logger.debug("no guidance at step %d; using grid selection", step_index)
     plan = plan_layer(layer_tokens, importance, config, rng)

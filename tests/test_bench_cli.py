@@ -442,6 +442,42 @@ def test_bench_survives_grid_infeasible_prune_phase():
     assert row["status"].startswith("infeasible")
 
 
+def test_bench_prune_phase_error_names_grid_and_its_settings():
+    params = HarnessParams(tokens=16, channels=8, steps=3, prune_steps=1, dst_frac=0.1)
+    rows = run_bench(["importance-pool"], [0.85], params, repeats=1, warmups=0)
+    assert rows[1]["status"] == ("infeasible: tome-random-grid: k=0.25 + r=0.85 > 1 "
+                                 "would need a negative independent-token count")
+
+
+@pytest.mark.parametrize("dst_frac, ratio", [(0.01, 0.5), (0.5, 0.7)])
+def test_bench_grid_row_ignores_the_dst_fraction_grid_never_uses(dst_frac, ratio):
+    # Grid keeps one dst per 2x2 cell; the k column still reports the flag.
+    params = HarnessParams(tokens=16, channels=8, steps=4, prune_steps=1, dst_frac=dst_frac)
+    rows = run_bench(["tome-random-grid"], [ratio], params, repeats=1, warmups=0)
+    assert [(row["strategy"], row["k"], row["status"]) for row in rows] == [
+        ("none", dst_frac, "ok"), ("tome-random-grid", dst_frac, "ok")]
+
+
+def test_replay_grid_rows_ignore_the_dst_fraction_grid_never_uses(tmp_path):
+    params = HarnessParams(tokens=16, channels=8, steps=4, prune_steps=1, dst_frac=0.01)
+    path = tmp_path / "cap.fmap"
+    run_capture(path, params)
+    rows = run_replay(read_capture(path), ["tome-random-grid"], 0.5, params)
+    assert len(rows) == 8
+    assert all(row["status"] == "ok" and row["count_ok"] for row in rows)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("bench", ["--repeats", "1"]),
+    ("compare", ["--strategy", "tome", "--seeds", "1", "--conditions", "1"])])
+def test_cli_huge_finite_pool_factor_pools_every_token(capsys, command, extra):
+    assert cli(command, "--tokens", "16", "--channels", "8", "--steps", "2",
+               "--prune-steps", "0", "--pool-factor", "1e308", "--strategy", "importance",
+               "--ratio", "0.5", *extra) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 2 and all(row["status"] == "ok" for row in rows)
+
+
 def test_cli_replay_corrupt_file_is_io_error(tmp_path):
     cap = tmp_path / "corrupt.fmap"
     cap.write_bytes(b"FMAPgarbage-that-is-not-valid")

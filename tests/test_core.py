@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -104,6 +105,25 @@ def test_config_rejects_k_plus_r_above_one():
         MergeConfig("importance-pool", r=0.8, k=0.25)
 
 
+@pytest.mark.parametrize("strategy, k", [("importance-pool", 0.25), ("tome-random-grid", 0.1)])
+def test_config_k_plus_r_error_names_strategy_k_and_r(strategy, k):
+    # Grid plans with k=0.25 whatever k it is given, and the message says so.
+    message = f"{strategy}: k=0.25 + r=0.8 > 1 would need a negative independent-token count"
+    with pytest.raises(ConfigInfeasibleError, match=f"^{re.escape(message)}$"):
+        MergeConfig(strategy, r=0.8, k=k)
+
+
+@pytest.mark.parametrize("k", [0.01, 0.4, 0.9])
+def test_grid_config_carries_grids_dst_fraction(k):
+    # One dst per 2x2 cell: k=0.9 + r=0.7 is no reason to reject grid.
+    assert MergeConfig("tome-random-grid", 0.7, k=k).k == 0.25
+
+
+def test_config_rejects_negative_prune_steps_by_value():
+    with pytest.raises(ConfigInfeasibleError, match="^prune_steps=-1 must be >= 0$"):
+        MergeConfig("importance-pool", r=0.5, prune_steps=-1)
+
+
 def test_config_allows_k_plus_r_equal_one():
     # r=0.75 with k=0.25 is a legitimate setting: zero independent tokens.
     cfg = MergeConfig("importance-pool", r=0.75, k=0.25)
@@ -152,6 +172,12 @@ def test_counts_for_pool_covers_whole_set_at_low_ratio():
     cfg = MergeConfig("importance-pool", r=0.3, k=0.25, p=0.8)
     counts = counts_for(64, cfg)
     assert counts.pool_size == 64
+
+
+def test_counts_for_pools_every_token_at_a_huge_finite_pool_factor():
+    # n * (1 - r) * (1 + p) overflows to inf here; the pool is the whole set.
+    cfg = MergeConfig("importance-pool", r=0.5, k=0.25, p=1e308)
+    assert counts_for(64, cfg) == (64, 16, 16, 32)
 
 
 def test_counts_for_survives_binary_rounding_of_decimal_ratios():

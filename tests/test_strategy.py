@@ -113,6 +113,16 @@ def test_grid_ignores_config_k():
     assert plan.dst_indices.size == 16  # pinned at n/4 by the cell layout
 
 
+@pytest.mark.parametrize("k", [0.05, 0.25, 0.5])
+def test_grid_counts_match_grid_plans(k):
+    tokens = make_tokens(5, 64, grid=(8, 8))
+    cfg = MergeConfig("tome-random-grid", r=0.5, k=k)
+    counts = counts_for(64, cfg)
+    plan = plan_tome_grid(tokens, cfg, Rng(1).at(0, 0))
+    assert (plan.dst_indices.size, plan.independent_indices.size) == (
+        counts.n_dst, counts.n_independent)
+
+
 # ---------------------------------------------------------------------------
 # importance-pool
 # ---------------------------------------------------------------------------
