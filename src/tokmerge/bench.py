@@ -32,7 +32,7 @@ from .core import (
 )
 from .flops import FlopModel
 from .fmap import CaptureRecord, write_capture
-from .matching import paired_cosine
+from .matching import unit_cosine, unit_rows
 from .rng import Rng
 # The planners are unused here, but bound so that tracers can wrap them in this module.
 from .strategy import plan_importance_pool, plan_tome_grid, plan_topk_dst, top_tokens  # noqa: F401
@@ -112,21 +112,23 @@ class HarnessParams:
 
 
 def merge_cohesion(
-    data: np.ndarray, plan: MergePlan, control: Rng
+    unit: np.ndarray, plan: MergePlan, control: Rng
 ) -> tuple[float, float] | None:
     """Merge-group cohesion and its random-assignment control, or None if nothing merges.
 
-    Cohesion is the mean cosine similarity of each merged token to its
-    assigned dst.  The control is the same mean when each merged token is
-    assigned a dst drawn at random from ``control``'s stream.
+    ``unit`` holds the layer's tokens as :func:`~tokmerge.matching.unit_rows`,
+    normalized once and shared by every plan of the layer.  Cohesion is the
+    mean cosine similarity of each merged token to its assigned dst.  The
+    control is the same mean when each merged token is assigned a dst drawn
+    at random from ``control``'s stream.
     """
     if plan.n_merged == 0:
         return None
-    sources = data[plan.merged_sources]
+    sources = unit[plan.merged_sources]
     gen = control.generator()
     random_targets = plan.dst_indices[gen.integers(0, plan.dst_indices.size, plan.n_merged)]
-    return (float(paired_cosine(sources, data[plan.merged_targets]).mean()),
-            float(paired_cosine(sources, data[random_targets]).mean()))
+    return (float(unit_cosine(sources, unit[plan.merged_targets]).mean()),
+            float(unit_cosine(sources, unit[random_targets]).mean()))
 
 
 def _pool_violations(tokens: TokenMatrix, importance: ImportanceMap, plan: MergePlan,
@@ -290,10 +292,10 @@ def run_compare(
                 out = trajectory(strategy, ratio, seed, cond, events.append)()
                 mses.append(_mse(out, baselines[seed, cond]))
                 for ev in events:
-                    coh = merge_cohesion(ev.tokens.data, ev.plan,
-                                         Rng(seed).at(ev.timestep, _CONTROL_LAYER + ev.layer))
-                    if coh is not None:
-                        cohesions.append(coh)
+                    if ev.plan.n_merged:  # one normalization per layer event that merges
+                        cohesions.append(merge_cohesion(
+                            unit_rows(ev.tokens.data), ev.plan,
+                            Rng(seed).at(ev.timestep, _CONTROL_LAYER + ev.layer)))
                     pool_merge = strategy == STRATEGY_POOL and ev.mode == MODE_MERGE
                     if pool_merge and not ev.grid_fallback:
                         violations += _pool_violations(ev.tokens, ev.importance, ev.plan, config)
@@ -375,8 +377,9 @@ def run_replay(
     """Apply each strategy to each captured record offline.
 
     Per record: merge-group cohesion (with random-assignment control) and a
-    reduced-count check.  Malformed records produce an error row and the
-    replay continues.
+    reduced-count check.  Each record's tokens are normalized once for the
+    cohesion of all its strategies' plans.  Malformed records produce an
+    error row and the replay continues.
     """
     require_finite(ratio=ratio)
     rows = []
@@ -384,6 +387,7 @@ def run_replay(
     for idx, rec in enumerate(records):
         n, c = rec.features.shape
         layer = None  # built on the first strategy, and again after it failed
+        unit = None  # the tokens' unit rows, built on the first plan that merges
         for strategy in strategies:
             row = dict.fromkeys(REPLAY_COLUMNS, "")
             row.update(record=idx, timestep=rec.timestep, layer=rec.layer, n_tokens=n,
@@ -394,12 +398,14 @@ def run_replay(
                 if layer is None:
                     layer = _record_layer(rec)
                 plan = toydiff.plan_layer(*layer, config, base.at(rec.timestep, rec.layer))
-                coh = merge_cohesion(rec.features, plan,
-                                     base.at(rec.timestep, _CONTROL_LAYER + rec.layer))
                 row.update(expected_n_out=expected, actual_n_out=plan.n_out,
                            count_ok=plan.n_out == expected)
-                if coh is not None:
-                    row.update(homogeneity=coh[0], homogeneity_random=coh[1])
+                if plan.n_merged:
+                    if unit is None:
+                        unit = unit_rows(rec.features)
+                    coh, ctl = merge_cohesion(unit, plan,
+                                              base.at(rec.timestep, _CONTROL_LAYER + rec.layer))
+                    row.update(homogeneity=coh, homogeneity_random=ctl)
             except ValueError as exc:
                 row["status"] = f"error: {exc}"
             rows.append(row)

@@ -208,7 +208,9 @@ def counts_for(n: int, config: MergeConfig) -> PlanCounts:
     pool_size = _floor_count(min(n, n * (1.0 - config.r) * (1.0 + config.p)))
     pool_size = max(pool_size, n_out)
     if n_dst <= 0:
-        raise ConfigInfeasibleError(f"k={config.k} yields no dst tokens for n={n}")
+        raise ConfigInfeasibleError(
+            f"{config.strategy}: k={config.k} yields no dst tokens for n={n}"
+        )
     if n_independent < 0:
         raise ConfigInfeasibleError(
             f"r={config.r}, k={config.k} yield negative independent count "

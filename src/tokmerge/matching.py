@@ -26,8 +26,12 @@ def _row_blocks(n: int) -> tuple[slice, ...]:
     return tuple(slice(a, b) for a, b in zip(starts, starts[1:] + [n]))
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
+def unit_rows(x: np.ndarray) -> np.ndarray:
     """Float64 rows of ``x`` over their Euclidean norms; a zero row stays zero.
+
+    Each row is normalized on its own, so a row of ``unit_rows(x)`` equals,
+    bit for bit, that row normalized alone or with any other rows: callers
+    can normalize a layer's tokens once and gather the rows they need.
 
     Equal bit for bit to ``x / np.where(norms > 0, norms, 1)`` with ``norms =
     np.linalg.norm(x, axis=1, keepdims=True)``: that norm is the same
@@ -53,8 +57,13 @@ def paired_cosine(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
     b = np.asarray(b_rows)
     if a.shape != b.shape:
         raise ValueError(f"row stacks differ in shape: {a.shape} vs {b.shape}")
-    sims = np.sum(_unit_rows(a) * _unit_rows(b), axis=1)
-    return np.clip(sims, -1.0, 1.0)
+    return unit_cosine(unit_rows(a), unit_rows(b))
+
+
+def unit_cosine(a_unit: np.ndarray, b_unit: np.ndarray) -> np.ndarray:
+    """Row-wise cosine of two equally shaped stacks of :func:`unit_rows`,
+    clamped to [-1, 1]."""
+    return np.clip(np.sum(a_unit * b_unit, axis=1), -1.0, 1.0)
 
 
 def link_best(src_rows: np.ndarray, dst_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -76,7 +85,7 @@ def link_best(src_rows: np.ndarray, dst_rows: np.ndarray) -> tuple[np.ndarray, n
     # are those of normalizing them apart); then one src block at a time, so
     # no (n_src, n_dst) kernel is built.
     n_src = src_rows.shape[0]
-    unit = _unit_rows(np.concatenate((src_rows, dst_rows)))
+    unit = unit_rows(np.concatenate((src_rows, dst_rows)))
     src_unit, dst_unit_t = unit[:n_src], unit[n_src:].T
     links = [_link_block(src_unit[rows], dst_unit_t) for rows in _row_blocks(n_src)]
     assignment, best = links[0] if len(links) == 1 else map(np.concatenate, zip(*links))

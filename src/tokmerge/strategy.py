@@ -99,6 +99,12 @@ def _pool_draw(rng: Rng, pool_size: int, n_dst: int) -> np.ndarray:
     return positions
 
 
+@lru_cache(maxsize=16)
+def _grid_config(config: MergeConfig) -> MergeConfig:
+    """``config`` as grid selection's own, built once per config."""
+    return dataclasses.replace(config, strategy=STRATEGY_GRID)
+
+
 def plan_tome_grid(tokens: TokenMatrix, config: MergeConfig, rng: Rng) -> MergePlan:
     """Random-grid baseline: one dst per 2x2 cell, merge the most similar src.
 
@@ -113,7 +119,7 @@ def plan_tome_grid(tokens: TokenMatrix, config: MergeConfig, rng: Rng) -> MergeP
     h, w = tokens.grid
     if h % 2 or w % 2:
         raise ValueError(f"grid {tokens.grid} must have even height and width")
-    counts = counts_for(tokens.n_tokens, dataclasses.replace(config, strategy=STRATEGY_GRID))
+    counts = counts_for(tokens.n_tokens, _grid_config(config))
     return _plan_from_dst(tokens, _grid_dst(rng, h, w), counts.n_independent)
 
 

@@ -37,8 +37,9 @@ from tokmerge.core import (
 )
 from tokmerge.flops import FlopModel
 from tokmerge.fmap import CaptureRecord, read_capture, write_capture
+from tokmerge.matching import paired_cosine, unit_rows
 from tokmerge.rng import Rng
-from tokmerge.strategy import plan_importance_pool, plan_tome_grid
+from tokmerge.strategy import plan_importance_pool, plan_tome_grid, plan_topk_dst
 from tokmerge.toydiff import MODE_MERGE, sample
 
 FAST = HarnessParams(tokens=16, channels=8, steps=5, prune_steps=2)
@@ -243,7 +244,101 @@ def test_replay_handles_non_square_grid_strategy():
 def test_cohesion_helpers_on_trivial_plan():
     data = np.random.default_rng(0).standard_normal((8, 4))
     plan = identity_plan(8)
-    assert merge_cohesion(data, plan, Rng(0)) is None
+    assert merge_cohesion(unit_rows(data), plan, Rng(0)) is None
+
+
+def paired_cosine_cohesion(data, plan, control):
+    """Cohesion as ``paired_cosine`` of gathered raw rows, each call normalizing both."""
+    sources = data[plan.merged_sources]
+    gen = control.generator()
+    random_targets = plan.dst_indices[gen.integers(0, plan.dst_indices.size, plan.n_merged)]
+    return (float(paired_cosine(sources, data[plan.merged_targets]).mean()),
+            float(paired_cosine(sources, data[random_targets]).mean()))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", range(4))
+def test_cohesion_from_shared_unit_rows_equals_paired_cosine_of_raw_rows(dtype, seed):
+    gen = np.random.default_rng(seed)
+    data = gen.standard_normal((256, 32)).astype(dtype)
+    # Zero rows link at similarity 0, so more of them than the 12 independent
+    # slots makes some merge; others fall on dst.
+    data[gen.choice(256, 48, replace=False)] = 0.0
+    tokens = TokenMatrix(data, grid=(16, 16))
+    importance = ImportanceMap(gen.random(256))
+    config = MergeConfig("importance-pool", 0.7)
+    rng = Rng(seed).at(3, 1)
+    plans = [plan_tome_grid(tokens, config, rng),
+             plan_importance_pool(tokens, importance, config, rng),
+             plan_topk_dst(tokens, importance, config)]
+    unit, control = unit_rows(data), Rng(seed).at(3, 1 << 19)
+    for plan in plans:
+        assert np.any(np.all(data[plan.merged_sources] == 0, axis=1))
+        actual = merge_cohesion(unit, plan, control)
+        expected = paired_cosine_cohesion(data, plan, control)
+        assert np.array(actual).tobytes() == np.array(expected).tobytes()
+
+
+def counted_normalizer(monkeypatch):
+    """Replace ``bench``'s binding of ``unit_rows`` with one that records its inputs."""
+    inputs = []
+
+    def counting(x):
+        inputs.append(x)
+        return unit_rows(x)
+
+    monkeypatch.setattr(bench, "unit_rows", counting)
+    return inputs
+
+
+@pytest.mark.parametrize("strategies", [
+    ["importance-pool"],
+    ["tome-random-grid", "importance-pool", "topk-dst"],
+    ["none", "tome-random-grid", "importance-pool", "topk-dst", "importance-pool"],
+])
+def test_replay_normalizes_each_record_once_for_cohesion(monkeypatch, tmp_path, strategies):
+    path = tmp_path / "cap.fmap"
+    run_capture(path, FAST)
+    records = read_capture(path)
+    expected = run_replay(records, strategies, 0.5, FAST)
+    inputs = counted_normalizer(monkeypatch)
+    rows = run_replay(records, strategies, 0.5, FAST)
+    assert len(inputs) == len(records)
+    assert all(x is rec.features for x, rec in zip(inputs, records))
+    assert repr(rows) == repr(expected)
+    assert all(isinstance(row["homogeneity"], float) for row in rows
+               if row["strategy"] != "none")
+
+
+def test_replay_normalizes_nothing_when_no_plan_merges(monkeypatch, tmp_path):
+    path = tmp_path / "cap.fmap"
+    run_capture(path, FAST)
+    inputs = counted_normalizer(monkeypatch)
+    rows = run_replay(read_capture(path), ["none", "importance-pool"], 0.0, FAST)
+    assert inputs == []
+    assert all(row["status"] == "ok" and row["homogeneity"] == "" for row in rows)
+
+
+def test_compare_normalizes_each_merging_layer_event_once(monkeypatch):
+    inputs = counted_normalizer(monkeypatch)
+    events = []
+    real_sample = bench.sample
+
+    def recording(*args, hook=None, **kwargs):
+        if hook is None:  # a baseline trajectory
+            return real_sample(*args, **kwargs)
+
+        def both(ev):
+            events.append(ev)
+            hook(ev)
+        return real_sample(*args, hook=both, **kwargs)
+
+    monkeypatch.setattr(bench, "sample", recording)
+    run_compare(["none", "importance-pool"], 0.5, FAST, n_seeds=1, n_conditions=1)
+    merging = [ev.tokens.data for ev in events if ev.plan.n_merged]
+    assert merging and len(events) > len(merging)  # the none trajectory merges nothing
+    assert len(inputs) == len(merging)
+    assert all(x is data for x, data in zip(inputs, merging))
 
 
 @pytest.mark.parametrize("ratio, mode", [(0.0, "none"), (0.5, "tome-random-grid")])

@@ -206,6 +206,13 @@ def test_counts_for_rejects_zero_dst():
         counts_for(4, cfg)
 
 
+@pytest.mark.parametrize("strategy", ["importance-pool", "topk-dst"])
+def test_counts_for_zero_dst_error_names_the_strategy(strategy):
+    with pytest.raises(ConfigInfeasibleError) as info:
+        counts_for(16, MergeConfig(strategy, r=0.5, k=0.01))
+    assert str(info.value) == f"{strategy}: k=0.01 yields no dst tokens for n=16"
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(min_value=4, max_value=5000),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokmerge import TokenMatrix, paired_cosine
-from tokmerge.matching import _row_blocks, _unit_rows, link_best
+from tokmerge.matching import _row_blocks, link_best, unit_rows
 
 
 def brute_force_match(src, dst):
@@ -145,7 +145,7 @@ def test_matches_brute_force_oracle_at_the_clamp(sign):
     for src in gen.standard_normal((40, 1, 24)):
         copies = sign * np.vstack([0.5 * src, src, 4.0 * src])
         dst = np.vstack([gen.standard_normal((2, 24)), copies]) if sign > 0 else copies
-        raw = (_unit_rows(src) @ _unit_rows(dst).T).max()
+        raw = (unit_rows(src) @ unit_rows(dst).T).max()
         if (raw <= 1.0) if sign > 0 else (raw > -1.0):
             continue
         checked += 1
@@ -166,7 +166,7 @@ def test_clamp_ties_pick_lowest_dst_index(sign):
         gen = np.random.default_rng(seed)
         src = gen.standard_normal((1, int(gen.integers(3, 64))))
         dst = sign * gen.uniform(0.1, 10.0, (6, 1)) * src
-        raw = (_unit_rows(src) @ _unit_rows(dst).T)[0]
+        raw = (unit_rows(src) @ unit_rows(dst).T)[0]
         clamped = np.clip(raw, -1.0, 1.0)
         lowest = np.flatnonzero(clamped == clamped.max())[0]
         assignment, scores = link_best(src, dst)
@@ -212,7 +212,7 @@ def test_row_blocks_tile_the_range_in_blocks_of_288_to_575_rows(n):
 
 def reference_link_best(src_rows, dst_rows):
     """The unblocked kernel: one (n_src, n_dst) matrix, argmax, clamp."""
-    sims = _unit_rows(src_rows) @ _unit_rows(dst_rows).T
+    sims = unit_rows(src_rows) @ unit_rows(dst_rows).T
     assignment = np.argmax(sims, axis=1)
     best = sims[np.arange(sims.shape[0]), assignment]
     redo = ~((best > -1.0) & (best <= 1.0))
@@ -267,7 +267,7 @@ def test_unit_rows_equal_norm_and_where_form(dtype):
     x = x.astype(dtype)
     before = x.copy()
     with np.errstate(invalid="ignore", over="ignore"):
-        actual, expected = _unit_rows(x), reference_unit_rows(x)
+        actual, expected = unit_rows(x), reference_unit_rows(x)
     assert_same_bits(actual, expected)
     np.testing.assert_array_equal(actual[3], 0.0)
     assert_same_bits(x, before)  # the argument is left as it was

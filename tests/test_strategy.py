@@ -123,6 +123,22 @@ def test_grid_counts_match_grid_plans(k):
         counts.n_dst, counts.n_independent)
 
 
+@pytest.mark.parametrize("strategy", ["tome-random-grid", "importance-pool", "topk-dst"])
+def test_grid_config_is_derived_once_per_config(strategy):
+    tokens = make_tokens(5, 64, grid=(8, 8))
+    strategy_module._grid_config.cache_clear()
+    # Equal configs built apart share one derivation, as each sampled
+    # trajectory builds its own config.
+    plans = [plan_tome_grid(tokens, MergeConfig(strategy, r=0.5, k=0.4), Rng(1).at(t, 0))
+             for t in range(3)]
+    info = strategy_module._grid_config.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    counts = counts_for(64, MergeConfig("tome-random-grid", r=0.5))
+    for t, plan in enumerate(plans):
+        dst = strategy_module._grid_dst(Rng(1).at(t, 0), 8, 8)
+        assert plan == _plan_from_dst(tokens, dst, counts.n_independent)
+
+
 # ---------------------------------------------------------------------------
 # importance-pool
 # ---------------------------------------------------------------------------
