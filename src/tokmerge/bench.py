@@ -41,6 +41,8 @@ from .toydiff import MODE_MERGE, NoiseSchedule, ToyDenoiser, sample
 # Stream id offset for the random-assignment control oracle.
 _CONTROL_LAYER = 1 << 19
 
+_add = np.add.reduce
+
 BENCH_COLUMNS = [
     "strategy", "r", "k", "p", "prune_steps", "steps", "tokens", "channels",
     "flops_per_step", "latency_step_s", "peak_mem_bytes", "mse_vs_baseline",
@@ -124,11 +126,13 @@ def merge_cohesion(
     """
     if plan.n_merged == 0:
         return None
-    sources = unit[plan.merged_sources]
+    sources = unit.take(plan.merged_sources, axis=0)
     gen = control.generator()
     random_targets = plan.dst_indices[gen.integers(0, plan.dst_indices.size, plan.n_merged)]
-    return (float(unit_cosine(sources, unit[plan.merged_targets]).mean()),
-            float(unit_cosine(sources, unit[random_targets]).mean()))
+    # Each mean is the add.reduce and division by the count that .mean runs.
+    n = plan.n_merged
+    return (float(_add(unit_cosine(sources, unit.take(plan.merged_targets, axis=0))) / n),
+            float(_add(unit_cosine(sources, unit.take(random_targets, axis=0))) / n))
 
 
 def _pool_violations(tokens: TokenMatrix, importance: ImportanceMap, plan: MergePlan,
@@ -356,18 +360,6 @@ def _record_layer(record: CaptureRecord) -> tuple[TokenMatrix, ImportanceMap | N
     return TokenMatrix(record.features, grid=grid), importance
 
 
-def plan_for_record(record: CaptureRecord, config: MergeConfig, base: Rng) -> MergePlan:
-    """Rebuild the plan ``config.strategy`` would produce for one captured record.
-
-    Plans as :func:`run_replay` does: through :func:`toydiff.plan_layer`, on
-    the record's (timestep, layer) stream of ``base`` and with the record's
-    map, so matched seeds reproduce in-loop plans.  A record with no map
-    plans as the sampler's first step does.
-    """
-    return toydiff.plan_layer(*_record_layer(record), config,
-                              base.at(record.timestep, record.layer))
-
-
 def run_replay(
     records: list[CaptureRecord],
     strategies: list[str],
@@ -377,9 +369,11 @@ def run_replay(
     """Apply each strategy to each captured record offline.
 
     Per record: merge-group cohesion (with random-assignment control) and a
-    reduced-count check.  Each record's tokens are normalized once for the
-    cohesion of all its strategies' plans.  Malformed records produce an
-    error row and the replay continues.
+    reduced-count check.  Strategies whose :func:`toydiff.planning_config`
+    is the same for a record (pool and topk on a record with no map plan as
+    grid does) share one plan and its cohesion, and each record's tokens are
+    normalized once for the cohesion of all its plans.  Malformed records
+    produce an error row and the replay continues.
     """
     require_finite(ratio=ratio)
     rows = []
@@ -388,6 +382,7 @@ def run_replay(
         n, c = rec.features.shape
         layer = None  # built on the first strategy, and again after it failed
         unit = None  # the tokens' unit rows, built on the first plan that merges
+        planned = {}  # planning config -> (plan, cohesion or None); no failed plans
         for strategy in strategies:
             row = dict.fromkeys(REPLAY_COLUMNS, "")
             row.update(record=idx, timestep=rec.timestep, layer=rec.layer, n_tokens=n,
@@ -397,15 +392,21 @@ def run_replay(
                 expected = counts_for(n, config).n_out
                 if layer is None:
                     layer = _record_layer(rec)
-                plan = toydiff.plan_layer(*layer, config, base.at(rec.timestep, rec.layer))
+                key = toydiff.planning_config(config, layer[1])
+                if key not in planned:
+                    plan = toydiff.plan_layer(*layer, key, base.at(rec.timestep, rec.layer))
+                    cohesion = None
+                    if plan.n_merged:
+                        if unit is None:
+                            unit = unit_rows(rec.features)
+                        cohesion = merge_cohesion(
+                            unit, plan, base.at(rec.timestep, _CONTROL_LAYER + rec.layer))
+                    planned[key] = plan, cohesion
+                plan, cohesion = planned[key]
                 row.update(expected_n_out=expected, actual_n_out=plan.n_out,
                            count_ok=plan.n_out == expected)
-                if plan.n_merged:
-                    if unit is None:
-                        unit = unit_rows(rec.features)
-                    coh, ctl = merge_cohesion(unit, plan,
-                                              base.at(rec.timestep, _CONTROL_LAYER + rec.layer))
-                    row.update(homogeneity=coh, homogeneity_random=ctl)
+                if cohesion is not None:
+                    row.update(homogeneity=cohesion[0], homogeneity_random=cohesion[1])
             except ValueError as exc:
                 row["status"] = f"error: {exc}"
             rows.append(row)

@@ -62,8 +62,16 @@ def paired_cosine(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
 
 def unit_cosine(a_unit: np.ndarray, b_unit: np.ndarray) -> np.ndarray:
     """Row-wise cosine of two equally shaped stacks of :func:`unit_rows`,
-    clamped to [-1, 1]."""
-    return np.clip(np.sum(a_unit * b_unit, axis=1), -1.0, 1.0)
+    clamped to [-1, 1].
+
+    ``b_unit`` is scratch: the products overwrite it, so pass a copy the
+    caller owns (a gather or a fresh :func:`unit_rows`).  Equal bit for bit
+    to ``np.clip(np.sum(a_unit * b_unit, axis=1), -1, 1)``, whose sum is
+    this ``add.reduce``, here without the Python wrappers.
+    """
+    np.multiply(a_unit, b_unit, out=b_unit)
+    dots = np.add.reduce(b_unit, axis=1)
+    return np.clip(dots, -1.0, 1.0, out=dots)
 
 
 def link_best(src_rows: np.ndarray, dst_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

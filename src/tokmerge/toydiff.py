@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import (
     MAP_STRATEGIES,
+    STRATEGY_GRID,
     STRATEGY_NONE,
     STRATEGY_POOL,
     ImportanceMap,
@@ -39,7 +40,7 @@ from .core import (
 from .importance import guidance_magnitude, resample_importance  # noqa: F401
 from .matching import _row_blocks
 from .rng import Rng
-from .strategy import plan_importance_pool, plan_tome_grid, plan_topk_dst
+from .strategy import _grid_config, plan_importance_pool, plan_tome_grid, plan_topk_dst
 
 logger = logging.getLogger(__name__)
 
@@ -115,6 +116,19 @@ class ScheduledPlan(NamedTuple):
     grid_fallback: bool = False
 
 
+def planning_config(config: MergeConfig, importance: ImportanceMap | None) -> MergeConfig:
+    """The config that actually plans a layer under ``config``.
+
+    The strategies in :data:`~tokmerge.core.MAP_STRATEGIES` plan with grid
+    selection, on grid's own config, when ``importance`` is None; every
+    other case plans with ``config`` itself.  Configs that plan alike are
+    equal, so callers can key plans on this.
+    """
+    if importance is None and config.strategy in MAP_STRATEGIES:
+        return _grid_config(config)
+    return config
+
+
 def plan_layer(
     tokens: TokenMatrix,
     importance: ImportanceMap | None,
@@ -123,14 +137,14 @@ def plan_layer(
 ) -> MergePlan:
     """The plan ``config.strategy`` builds for one layer's tokens.
 
-    ``none`` keeps every token.  Grid selection serves the strategies outside
-    :data:`~tokmerge.core.MAP_STRATEGIES`, and those in it when ``importance``
-    is None.  The sampler and replay both plan through here, so matched seeds
-    give the same plans in both.
+    ``none`` keeps every token, and the other strategies plan with
+    :func:`planning_config`'s config.  The sampler and replay both plan
+    through here, so matched seeds give the same plans in both.
     """
+    config = planning_config(config, importance)
     if config.strategy == STRATEGY_NONE:
         return identity_plan(tokens.n_tokens)
-    if config.strategy not in MAP_STRATEGIES or importance is None:
+    if config.strategy == STRATEGY_GRID:
         return plan_tome_grid(tokens, config, rng)
     if config.strategy == STRATEGY_POOL:
         return plan_importance_pool(tokens, importance, config, rng)
@@ -148,15 +162,15 @@ def scheduled_plan(
 
     Early steps (``step_index < prune_steps``) prune with grid selection;
     later steps merge with the plan :func:`plan_layer` builds from
-    ``importance``, the previous step's guidance map.  The strategies in
-    :data:`~tokmerge.core.MAP_STRATEGIES` fall back to grid selection -- with
-    a logged diagnostic and ``grid_fallback`` set, never an exception -- when
-    no map is available yet.  A map whose length differs from the layer's
-    token count raises the planner's ``ValueError``.
+    ``importance``, the previous step's guidance map.  Where no map is
+    available yet and :func:`planning_config` falls back to grid selection,
+    the plan says so with a logged diagnostic and ``grid_fallback`` set,
+    never an exception.  A map whose length differs from the layer's token
+    count raises the planner's ``ValueError``.
     """
     if config.strategy != STRATEGY_NONE and step_index < config.prune_steps:
         return ScheduledPlan(plan_tome_grid(layer_tokens, config, rng), MODE_PRUNE)
-    fallback = importance is None and config.strategy in MAP_STRATEGIES
+    fallback = planning_config(config, importance).strategy != config.strategy
     if fallback:
         logger.debug("no guidance at step %d; using grid selection", step_index)
     plan = plan_layer(layer_tokens, importance, config, rng)

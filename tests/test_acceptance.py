@@ -33,8 +33,8 @@ from tokmerge import (
 )
 from tokmerge.bench import (
     HarnessParams,
+    _record_layer,
     measure_attention_latency,
-    plan_for_record,
     run_compare,
 )
 from tokmerge.core import STRATEGY_NONE, STRATEGY_POOL
@@ -47,6 +47,7 @@ from tokmerge.fmap import (
     write_capture,
 )
 from tokmerge.matching import link_best
+from tokmerge.toydiff import plan_layer
 
 
 def criterion(name):
@@ -401,9 +402,11 @@ def test_fmap_round_trip(tmp_path):
     for strategy in ("importance-pool", "topk-dst", "tome-random-grid"):
         cfg = params.config(strategy, 0.5)
         for live, replayed in zip(live_records, parsed):
-            assert plan_for_record(live, cfg, base) == plan_for_record(
-                replayed, cfg, base
-            ), strategy
+            live_plan, replayed_plan = (
+                plan_layer(*_record_layer(rec), cfg, base.at(rec.timestep, rec.layer))
+                for rec in (live, replayed)
+            )
+            assert live_plan == replayed_plan, strategy
 
     blob = path.read_bytes()
     gen = np.random.default_rng(99)

@@ -21,7 +21,6 @@ from tokmerge.bench import (
     HarnessParams,
     measure_attention_latency,
     merge_cohesion,
-    plan_for_record,
     run_bench,
     run_capture,
     run_compare,
@@ -168,6 +167,12 @@ def test_capture_record_count_is_steps_times_layers(tmp_path):
     assert any(np.any(r.guidance > 0) for r in later)
 
 
+def replay_plan(record, config, base):
+    """The plan ``run_replay`` builds for ``record`` under ``config``."""
+    return toydiff.plan_layer(*bench._record_layer(record), config,
+                              base.at(record.timestep, record.layer))
+
+
 def test_replay_reproduces_plans_bit_exactly(tmp_path):
     path = tmp_path / "cap.fmap"
     run_capture(path, FAST)
@@ -175,8 +180,8 @@ def test_replay_reproduces_plans_bit_exactly(tmp_path):
     cfg = FAST.config("importance-pool", 0.5)
     base = Rng(FAST.seed)
     for rec in records:
-        live = plan_for_record(rec, cfg, base)
-        again = plan_for_record(rec, cfg, base)
+        live = replay_plan(rec, cfg, base)
+        again = replay_plan(rec, cfg, base)
         assert live == again
         # independent reconstruction from the record fields; the first step's
         # records have no map, and plan with grid selection as the sampler does
@@ -209,7 +214,7 @@ def test_replay_reproduces_in_loop_plans(tokens, strategy):
                 guidance = (np.zeros(tokens, dtype=np.float32) if ev.importance is None
                             else ev.importance.scores.astype(np.float32))
                 record = CaptureRecord(ev.timestep, ev.layer, ev.tokens.data, guidance)
-                assert plan_for_record(record, config, Rng(seed)) == ev.plan
+                assert replay_plan(record, config, Rng(seed)) == ev.plan
                 checked += 1
                 fallbacks += ev.grid_fallback
         assert checked == 3 * merge_steps * 2 * 2  # seeds x merge steps x layers x passes
@@ -239,6 +244,69 @@ def test_replay_handles_non_square_grid_strategy():
                         np.ones(12, dtype=np.float32))
     rows = run_replay([rec], ["tome-random-grid"], 0.5, FAST)
     assert rows[0]["status"].startswith("error")
+
+
+def counted_plan_layer(monkeypatch):
+    """Replace ``toydiff.plan_layer``, which ``bench`` looks up at call time,
+    with one that records the strategy of each config it plans."""
+    strategies = []
+    real = toydiff.plan_layer
+
+    def counting(tokens, importance, config, rng):
+        strategies.append(config.strategy)
+        return real(tokens, importance, config, rng)
+
+    monkeypatch.setattr(toydiff, "plan_layer", counting)
+    return strategies
+
+
+MAP_AND_GRID = ["tome-random-grid", "importance-pool", "topk-dst"]
+
+
+def test_replay_plans_a_record_once_per_planning_config(monkeypatch, tmp_path):
+    params = HarnessParams(tokens=64, channels=16, steps=4, prune_steps=1)
+    path = tmp_path / "cap.fmap"
+    run_capture(path, params)
+    records = read_capture(path)
+    no_map = [rec for rec in records if not rec.guidance.any()]
+    assert len(records) == 8 and len(no_map) == 2  # the first step's two layers
+    expected = run_replay(records, MAP_AND_GRID, 0.7, params)
+    planned = counted_plan_layer(monkeypatch)
+    rows = run_replay(records, MAP_AND_GRID, 0.7, params)
+    # Pool and topk plan a record with no map as grid does, and reuse grid's plan.
+    assert len(planned) == 20
+    assert planned.count("tome-random-grid") == 8
+    assert repr(rows) == repr(expected)
+    assert [row["strategy"] for row in rows] == MAP_AND_GRID * 8
+    assert all(row["status"] == "ok" and row["count_ok"] for row in rows)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.5, 0.7])
+def test_multi_strategy_replay_equals_one_replay_per_strategy(tmp_path, ratio):
+    params = HarnessParams(tokens=64, channels=16, steps=4, prune_steps=1, seed=3)
+    path = tmp_path / "cap.fmap"
+    run_capture(path, params, condition=1)
+    records = read_capture(path)
+    strategies = ["topk-dst", "none", "importance-pool", "tome-random-grid", "topk-dst"]
+    rows = run_replay(records, strategies, ratio, params)
+    for j, strategy in enumerate(strategies):
+        alone = run_replay(records, [strategy], ratio, params)
+        assert repr(rows[j::len(strategies)]) == repr(alone), strategy
+
+
+def test_replay_gives_each_strategy_of_a_shared_failing_plan_its_own_error_row(monkeypatch):
+    # No map and no square grid: grid, pool and topk all plan with grid
+    # selection, which fails; nothing failed is reused.
+    rec = CaptureRecord(3, 0, np.ones((12, 4), dtype=np.float32),
+                        np.zeros(12, dtype=np.float32))
+    planned = counted_plan_layer(monkeypatch)
+    rows = run_replay([rec], ["none"] + MAP_AND_GRID, 0.5, FAST)
+    assert planned == ["none"] + ["tome-random-grid"] * 3
+    assert rows[0]["status"] == "ok"
+    for row, strategy in zip(rows[1:], MAP_AND_GRID):
+        assert row["strategy"] == strategy
+        assert row["status"] == "error: grid strategy needs tokens with a (height, width) grid"
+        assert row["actual_n_out"] == ""
 
 
 def test_cohesion_helpers_on_trivial_plan():

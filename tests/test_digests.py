@@ -1,4 +1,4 @@
-"""Literal sha256 digests of the sampler's, the planners' and replay's outputs.
+"""Literal sha256 digests of the sampler's, the planners', replay's and compare's outputs.
 
 Equal digests mean bit-identical outputs.  A change that alters outputs on
 purpose updates the literal in the same diff; any other change leaves them
@@ -12,9 +12,19 @@ import hashlib
 import numpy as np
 from test_strategy import PLAN_GRID, build_any_plan, plan_case
 
-from tokmerge.bench import REPLAY_COLUMNS, HarnessParams, run_capture, run_replay
+from tokmerge.bench import (
+    COMPARE_COLUMNS,
+    REPLAY_COLUMNS,
+    HarnessParams,
+    run_capture,
+    run_compare,
+    run_replay,
+)
 from tokmerge.core import (
     STRATEGIES,
+    STRATEGY_GRID,
+    STRATEGY_POOL,
+    STRATEGY_TOPK,
     ImportanceMap,
     MergeConfig,
     apply_merge,
@@ -33,6 +43,7 @@ SAMPLER_CASES = [(64, 16, 8, 2, 0.5), (256, 32, 4, 2, 0.7)]
 SAMPLER_DIGEST = "c6b43c1ac067ec600a28db7d51ad7dfa5daec29b97fc8056bab7e7d747cee0f9"
 PLANNER_DIGEST = "8001cd9ec4a7c5992d1f2b55c108ee4c731b2749ecc5f1d8147a4882037ab411"
 REPLAY_DIGEST = "eaef55290250974c5639ebad11bb5580524ca5ce57c2b3cfbcbab18d72538628"
+COMPARE_DIGEST = "2e5cd159629ff111d099a27694cf32ee257f28098c5f90d6ec365ab3912e4fe0"
 
 
 class Digest:
@@ -104,3 +115,13 @@ def test_capture_and_replay_digest(tmp_path):
         d.value(*(row[col] for col in REPLAY_COLUMNS))
     check(d.hexdigest(), REPLAY_DIGEST)
 
+
+
+def test_compare_digest():
+    params = HarnessParams(tokens=64, channels=16, steps=8, prune_steps=2)
+    rows = run_compare([STRATEGY_GRID, STRATEGY_POOL, STRATEGY_TOPK], 0.7, params,
+                       n_seeds=2, n_conditions=2)
+    d = Digest()
+    for row in rows:
+        d.value(*(row[col] for col in COMPARE_COLUMNS))
+    check(d.hexdigest(), COMPARE_DIGEST)

@@ -227,6 +227,37 @@ def test_scheduler_decision_table(caplog, strategy, has_map, step):
         assert sp.plan == identity_plan(16)
 
 
+# strategy -> the strategy that plans it (without a map, with one).
+PLANNING_TABLE = {
+    "none": ("none", "none"),
+    "tome-random-grid": ("tome-random-grid", "tome-random-grid"),
+    "importance-pool": ("tome-random-grid", "importance-pool"),
+    "topk-dst": ("tome-random-grid", "topk-dst"),
+}
+
+
+@pytest.mark.parametrize("has_map", [False, True], ids=["no-map", "map"])
+@pytest.mark.parametrize("strategy", sorted(PLANNING_TABLE))
+def test_planning_config_table(strategy, has_map):
+    cfg = MergeConfig(strategy, r=0.0 if strategy == "none" else 0.5, k=0.125, p=0.5,
+                      prune_steps=2)
+    tokens = make_state().x_t
+    importance = ImportanceMap(np.random.default_rng(1).random(16)) if has_map else None
+    planning = toydiff.planning_config(cfg, importance)
+
+    assert planning.strategy == PLANNING_TABLE[strategy][has_map]
+    if planning.strategy == strategy:
+        assert planning is cfg
+    else:  # grid's own config: grid's dst fraction, the other settings kept
+        assert planning == dataclasses.replace(cfg, strategy="tome-random-grid")
+        assert planning == MergeConfig("tome-random-grid", r=0.5, p=0.5, prune_steps=2)
+        assert planning.k == 0.25
+    assert toydiff.planning_config(planning, importance) is planning
+    rng = Rng(0).at(5, 0)
+    assert (toydiff.plan_layer(tokens, importance, cfg, rng)
+            == toydiff.plan_layer(tokens, importance, planning, rng))
+
+
 # ---------------------------------------------------------------------------
 # sample
 # ---------------------------------------------------------------------------
