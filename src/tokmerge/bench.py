@@ -333,8 +333,10 @@ def run_capture(
     One record per (step, layer) from the conditional pass: the layer's input
     tokens plus the guidance map that would drive planning at that step
     (zeros at the first step, where no previous-step map exists yet;
-    :func:`_record_layer` reads them back as no map).  Returns (record count,
-    bytes written).
+    :func:`_record_layer` reads them back as no map).  The sampler plans each
+    layer from the cond pass's tokens and the uncond pass reuses that plan,
+    so these records are the planning inputs of both passes.  Returns
+    (record count, bytes written).
     """
     events = []
     trajectory = _trajectories(params, params.model())

@@ -249,7 +249,7 @@ class MergePlan:
         pos = self.merged_dst_pos = np.asarray(self.merged_dst_pos, dtype=np.int64)
         if dst.size == 0:
             raise InvalidPlanError("plan needs at least one dst token")
-        # Plans are built per layer and pass, so the checks call the ufunc
+        # Plans are built per layer and step, so the checks call the ufunc
         # reductions directly: the array methods and np.any wrap them in
         # Python that costs microseconds per call.
         all_idx = np.concatenate((dst, ind, src))
@@ -296,7 +296,7 @@ class MergePlan:
 def identity_plan(n: int) -> MergePlan:
     """A plan that keeps every token as its own dst and merges nothing.
 
-    ``none`` asks for this plan at every layer and pass, so it is built once
+    ``none`` asks for this plan at every layer and step, so it is built once
     per token count, with read-only arrays so the shared copy cannot drift.
     """
     empty = np.empty(0, dtype=np.int64)

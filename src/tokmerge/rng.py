@@ -24,8 +24,8 @@ class Rng:
     layer: int = 0
 
     def __post_init__(self) -> None:
-        # Draws are memoised on Rng values, and 3.0 == 3 with equal hashes,
-        # so a non-integer key is rejected here rather than by the generator.
+        # A non-integer key is rejected here, naming its field, rather than
+        # by the generator; integral numpy scalars become plain ints.
         for name in ("seed", "timestep", "layer"):
             value = getattr(self, name)
             if type(value) is not int:

@@ -7,12 +7,9 @@ everything else merges into its linked dst.  The planners differ in how dst
 tokens are chosen and in which tokens may become independent.
 
 Choosing the dst tokens reads no token data: it depends only on the
-:class:`Rng` stream, the grid or the counts, and the importance map.  Both
-CFG passes of a sampling step plan each layer on the same stream and map,
-so the random draws are memoised (:func:`_grid_dst`, :func:`_pool_draw`)
-and the map ranks its tokens once (:attr:`ImportanceMap.ranking`); only the
-linking, which reads the tokens, runs for every plan.  The memoised arrays
-are read-only.
+:class:`Rng` stream, the grid or the counts, and the importance map, which
+ranks its tokens once (:attr:`ImportanceMap.ranking`) for every plan built
+from it.
 """
 
 from __future__ import annotations
@@ -33,10 +30,6 @@ from .core import (
 from .importance import rank_tokens
 from .matching import link_best
 from .rng import Rng
-
-# Keys per draw cache: one sampling step's layers, for models of up to four
-# blocks.  A longer cycle of keys, such as a replay of many records, misses.
-_DRAWS_CACHED = 4
 
 
 def _plan_from_dst(
@@ -72,31 +65,15 @@ def top_tokens(importance: ImportanceMap, k: int) -> np.ndarray:
     return np.sort(rank_tokens(importance)[:k])
 
 
-@lru_cache(maxsize=_DRAWS_CACHED)
 def _grid_dst(rng: Rng, h: int, w: int) -> np.ndarray:
     """The sorted dst tokens of ``rng``'s draw of one token per 2x2 cell of an
-    ``h`` x ``w`` grid; read-only."""
+    ``h`` x ``w`` grid."""
     ch, cw = h // 2, w // 2
     offsets = rng.generator().integers(0, 4, size=ch * cw)
     cell = np.arange(ch * cw)
     rows = (cell // cw) * 2 + offsets // 2
     cols = (cell % cw) * 2 + offsets % 2
-    dst = np.sort(rows * w + cols)
-    dst.flags.writeable = False
-    return dst
-
-
-@lru_cache(maxsize=_DRAWS_CACHED)
-def _pool_draw(rng: Rng, pool_size: int, n_dst: int) -> np.ndarray:
-    """Positions of ``rng``'s ``n_dst`` draws without replacement from a pool
-    of ``pool_size``; read-only.
-
-    ``gen.choice(pool, k, replace=False)`` equals ``pool[gen.choice(len(pool),
-    k, replace=False)]``, so the draw depends only on the sizes.
-    """
-    positions = rng.generator().choice(pool_size, size=n_dst, replace=False)
-    positions.flags.writeable = False
-    return positions
+    return np.sort(rows * w + cols)
 
 
 @lru_cache(maxsize=16)
@@ -145,7 +122,7 @@ def plan_importance_pool(
     # makes the pool == full-set regime consume the stream exactly like a
     # draw over arange(n).
     pool = top_tokens(importance, counts.pool_size)
-    dst = np.sort(pool[_pool_draw(rng, counts.pool_size, counts.n_dst)])
+    dst = np.sort(rng.generator().choice(pool, size=counts.n_dst, replace=False))
     in_pool = np.zeros(n, dtype=bool)
     in_pool[pool] = True
     return _plan_from_dst(tokens, dst, counts.n_independent, eligible=in_pool)

@@ -2,9 +2,10 @@
 
 A small attention denoiser (2 transformer blocks, seeded untrained weights)
 runs a standard ancestral reverse loop with guidance.  At every self-attention
-layer the scheduler picks a plan -- grid pruning in the early steps, the
-configured strategy afterwards, driven by the guidance map cached from the
-previous step -- and the layer computes attention on the reduced token set.
+layer the scheduler picks one plan per step, shared by both guidance passes --
+grid pruning in the early steps, the configured strategy afterwards, driven by
+the guidance map cached from the previous step -- and the layer computes
+attention on the reduced token set.
 
 The denoiser is untrained on purpose: fidelity is always measured as
 deviation from the unmerged baseline under matched seeds, which is well
@@ -179,7 +180,11 @@ def scheduled_plan(
 
 @dataclass(frozen=True)
 class LayerEvent:
-    """What one attention layer saw and decided during a forward pass."""
+    """What one attention layer saw and decided during a forward pass.
+
+    Both passes of a step report their own ``tokens`` and the same ``plan``
+    object, which the cond pass planned.
+    """
 
     step_index: int
     timestep: int
@@ -422,7 +427,9 @@ def cfg_predict(
 
     The map is returned so the caller can plan the NEXT step's merges from
     it.  ``plan_for(pass_id, layer, layer_tokens)``, when given, serves both
-    forward passes, bound to ``"cond"`` and ``"uncond"``.
+    forward passes, bound to ``"cond"`` and ``"uncond"``.  The cond pass runs
+    first, so with :func:`_step_planner`'s callback it plans each layer and
+    the uncond pass reuses its plans.
     """
     def bound(pass_id: str) -> Callable | None:
         return None if plan_for is None else partial(plan_for, pass_id)
@@ -443,11 +450,20 @@ def _step_planner(
 ) -> Callable[[str, int, TokenMatrix], tuple[MergePlan, str]]:
     """One sampling step's plan callback for :func:`cfg_predict`.
 
-    Every layer plans through :func:`scheduled_plan` on its ``(t, layer)``
-    stream of ``rng`` and reports one :class:`LayerEvent` to ``hook``.
+    Each layer plans once per step, through :func:`scheduled_plan` on its
+    ``(t, layer)`` stream of ``rng``: the first pass to reach the layer (the
+    cond pass) plans it from its own tokens, and the other pass reuses that
+    plan and mode, so both passes' merge errors agree and largely cancel in
+    the guided difference.  Every call reports one :class:`LayerEvent` to
+    ``hook``, with the pass's own tokens and the shared plan.
     """
+    plans: dict[int, ScheduledPlan] = {}
+
     def plan_for(pass_id: str, layer: int, layer_tokens: TokenMatrix) -> tuple[MergePlan, str]:
-        sp = scheduled_plan(step_index, importance, layer_tokens, config, rng.at(t, layer))
+        sp = plans.get(layer)
+        if sp is None:
+            sp = plans[layer] = scheduled_plan(
+                step_index, importance, layer_tokens, config, rng.at(t, layer))
         if hook is not None:
             hook(LayerEvent(step_index, t, layer, pass_id, layer_tokens,
                             importance, sp.plan, sp.mode, sp.grid_fallback))

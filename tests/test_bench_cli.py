@@ -208,12 +208,18 @@ def test_replay_reproduces_in_loop_plans(tokens, strategy):
             events = []
             sample(model, schedule, config, params.cfg_scale, 0, Rng(seed), params.grid(),
                    hook=events.append)
+            # The cond pass plans each layer, and the uncond pass reuses its
+            # plan, so a record of the cond pass's inputs replays both.
+            cond = {(ev.step_index, ev.layer): ev for ev in events if ev.pass_id == "cond"}
             for ev in events:
                 if ev.mode != MODE_MERGE:
                     continue
-                guidance = (np.zeros(tokens, dtype=np.float32) if ev.importance is None
-                            else ev.importance.scores.astype(np.float32))
-                record = CaptureRecord(ev.timestep, ev.layer, ev.tokens.data, guidance)
+                planner = cond[ev.step_index, ev.layer]
+                assert ev.plan is planner.plan
+                guidance = (np.zeros(tokens, dtype=np.float32) if planner.importance is None
+                            else planner.importance.scores.astype(np.float32))
+                record = CaptureRecord(planner.timestep, planner.layer, planner.tokens.data,
+                                       guidance)
                 assert replay_plan(record, config, Rng(seed)) == ev.plan
                 checked += 1
                 fallbacks += ev.grid_fallback

@@ -40,10 +40,10 @@ PLAN_ARRAYS = ("dst_indices", "independent_indices", "merged_sources", "merged_d
 # (tokens, channels, steps, prune_steps, ratio): every strategy x seeds 0 and 3.
 SAMPLER_CASES = [(64, 16, 8, 2, 0.5), (256, 32, 4, 2, 0.7)]
 
-SAMPLER_DIGEST = "c6b43c1ac067ec600a28db7d51ad7dfa5daec29b97fc8056bab7e7d747cee0f9"
+SAMPLER_DIGEST = "ce184e1126fec2a71a025f27fc8e7906963fc3320c670fcf4ef16ee0d01b5c94"
 PLANNER_DIGEST = "8001cd9ec4a7c5992d1f2b55c108ee4c731b2749ecc5f1d8147a4882037ab411"
 REPLAY_DIGEST = "eaef55290250974c5639ebad11bb5580524ca5ce57c2b3cfbcbab18d72538628"
-COMPARE_DIGEST = "2e5cd159629ff111d099a27694cf32ee257f28098c5f90d6ec365ab3912e4fe0"
+COMPARE_DIGEST = "86b970af47eec929bfc137a502b51ad46eb2897834917d9a5b3dafa4d4ecf43f"
 
 
 class Digest:

@@ -332,7 +332,7 @@ def test_strategies_share_reduced_count_formula():
 
 
 # ---------------------------------------------------------------------------
-# Memoised dst selection against the per-call reference
+# Planners, with the map's cached ranking, against the per-call reference
 # ---------------------------------------------------------------------------
 
 def reference_ranking(imp):
@@ -385,7 +385,7 @@ def plan_case(n, seed):
 @pytest.mark.parametrize("reference_first", [False, True])
 def test_memoised_planners_equal_per_call_reference(reference_first):
     assert len(PLAN_GRID) == 288
-    for _ in range(2):  # the second pass runs after the caches evicted its keys
+    for _ in range(2):  # the second pass re-plans after every other case ran
         for n, seed, r, strategy in PLAN_GRID:
             tokens, scores = plan_case(n, seed)
             cfg = MergeConfig(strategy, r=r)
@@ -397,36 +397,13 @@ def test_memoised_planners_equal_per_call_reference(reference_first):
             if not reference_first:
                 expected = reference_plan(strategy, tokens, ImportanceMap(scores), cfg, rng)
             assert plans[0] == expected and plans[1] == expected, (n, seed, r, strategy)
-    for draws in (strategy_module._grid_dst, strategy_module._pool_draw):
-        info = draws.cache_info()
-        assert info.hits and info.currsize == info.maxsize
-
-
-def test_pool_draw_by_position_equals_draw_from_the_pool():
-    gen = np.random.default_rng(5)
-    for case in range(300):
-        size = int(gen.integers(1, 400))
-        k = int(gen.integers(1, size + 1))
-        pool = np.sort(gen.choice(4 * size, size=size, replace=False))
-        rng = Rng(case).at(int(gen.integers(0, 50)), int(gen.integers(0, 4)))
-        direct = rng.generator().choice(pool, size=k, replace=False)
-        np.testing.assert_array_equal(pool[strategy_module._pool_draw(rng, size, k)], direct)
 
 
 def test_cached_selection_arrays_are_read_only():
     tokens, scores = plan_case(64, 0)
     imp = ImportanceMap(scores)
-    cfg = MergeConfig("importance-pool", r=0.7)
-    grid_plan = plan_tome_grid(tokens, cfg, Rng(0).at(1, 0))
-    plan_importance_pool(tokens, imp, cfg, Rng(0).at(1, 0))
-    counts = counts_for(64, cfg)
-    cached = [
-        grid_plan.dst_indices,
-        strategy_module._pool_draw(Rng(0).at(1, 0), counts.pool_size, counts.n_dst),
-        rank_tokens(imp),
-        imp.scores,
-    ]
-    for array in cached:
+    plan_importance_pool(tokens, imp, MergeConfig("importance-pool", r=0.7), Rng(0).at(1, 0))
+    for array in (rank_tokens(imp), imp.scores):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
 

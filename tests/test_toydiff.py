@@ -376,14 +376,15 @@ def test_sample_matched_seeds_share_noise_streams():
 
 
 def test_pool_merge_step_plans_each_layer_once_for_both_passes(monkeypatch):
-    # One dst-draw generator per layer and one ranking of the map per merge
-    # step; the cond and uncond passes of a layer get the same dst tokens.
-    draws, rankings = [], []
-    generator = Rng.generator
+    # One scheduled plan per layer and step for every strategy, and one
+    # ranking of the map per step that has one; the uncond pass reuses the
+    # cond pass's plan, mode and fallback flag.
+    planned, rankings = [], []
+    planner = toydiff.scheduled_plan
 
-    def counted_generator(rng):
-        draws.append((rng.timestep, rng.layer))
-        return generator(rng)
+    def counted_plan(step_index, *args):
+        planned.append(step_index)
+        return planner(step_index, *args)
 
     ranking = ImportanceMap.ranking.func
 
@@ -393,26 +394,31 @@ def test_pool_merge_step_plans_each_layer_once_for_both_passes(monkeypatch):
 
     counted = functools.cached_property(counted_ranking)
     counted.__set_name__(ImportanceMap, "ranking")
-    monkeypatch.setattr(Rng, "generator", counted_generator)
+    monkeypatch.setattr(toydiff, "scheduled_plan", counted_plan)
     monkeypatch.setattr(ImportanceMap, "ranking", counted)
-    events = []
     steps, n_layers = 3, small_model().n_blocks
-    cfg = MergeConfig("importance-pool", r=0.7, prune_steps=1)
-    sample(small_model(), NoiseSchedule.linear(steps), cfg, 7.5, 1, Rng(4), (8, 8),
-           hook=events.append)
-    merge_steps = [t for t in range(steps, 0, -1)][cfg.prune_steps:]
-    for t in merge_steps:
-        layer_draws = [layer for step, layer in draws if step == t and layer < n_layers]
-        assert sorted(layer_draws) == list(range(n_layers))
-    assert len(rankings) == len(merge_steps)
-    assert len({id(imp) for imp in rankings}) == len(merge_steps)
-    merged = [ev for ev in events if ev.mode == MODE_MERGE]
-    assert len(merged) == 2 * n_layers * len(merge_steps)
-    for cond in (ev for ev in merged if ev.pass_id == "cond"):
-        (uncond,) = [ev for ev in merged if ev.pass_id == "uncond"
-                     and (ev.step_index, ev.layer) == (cond.step_index, cond.layer)]
-        np.testing.assert_array_equal(cond.plan.dst_indices, uncond.plan.dst_indices)
-        assert cond.importance is uncond.importance
+    for strategy in ("none", "tome-random-grid", "importance-pool", "topk-dst"):
+        for prune_steps in (0, 1):
+            planned.clear()
+            rankings.clear()
+            events = []
+            cfg = MergeConfig(strategy, r=0.7, prune_steps=prune_steps)
+            sample(small_model(), NoiseSchedule.linear(steps), cfg, 7.5, 1, Rng(4), (8, 8),
+                   hook=events.append)
+            assert sorted(planned) == [i for i in range(steps) for _ in range(n_layers)]
+            mapped = steps - 1 if strategy in ("importance-pool", "topk-dst") else 0
+            assert len(rankings) == len({id(imp) for imp in rankings}) == mapped
+            assert len(events) == 2 * n_layers * steps
+            merge_steps = steps - (0 if strategy == "none" else prune_steps)
+            assert sum(ev.mode == MODE_MERGE for ev in events) == 2 * n_layers * merge_steps
+            for cond in (ev for ev in events if ev.pass_id == "cond"):
+                (uncond,) = [ev for ev in events if ev.pass_id == "uncond"
+                             and (ev.step_index, ev.layer) == (cond.step_index, cond.layer)]
+                assert uncond.plan is cond.plan
+                assert (uncond.mode, uncond.grid_fallback) == (cond.mode, cond.grid_fallback)
+                assert cond.importance is uncond.importance
+            assert any(ev.grid_fallback for ev in events) == (
+                prune_steps == 0 and strategy in ("importance-pool", "topk-dst"))
 
 
 def test_denoiser_rejects_bad_condition():
