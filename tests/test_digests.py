@@ -39,11 +39,15 @@ PLAN_ARRAYS = ("dst_indices", "independent_indices", "merged_sources", "merged_d
 
 # (tokens, channels, steps, prune_steps, ratio): every strategy x seeds 0 and 3.
 SAMPLER_CASES = [(64, 16, 8, 2, 0.5), (256, 32, 4, 2, 0.7)]
+# At 1024 tokens every layer kernel splits its rows into blocks (see
+# ``matching._row_blocks``); the cases above each run as one block.
+BLOCKED_SAMPLER_CASES = [(1024, 64, 3, 1, 0.7)]
 
 SAMPLER_DIGEST = "ce184e1126fec2a71a025f27fc8e7906963fc3320c670fcf4ef16ee0d01b5c94"
 PLANNER_DIGEST = "8001cd9ec4a7c5992d1f2b55c108ee4c731b2749ecc5f1d8147a4882037ab411"
 REPLAY_DIGEST = "eaef55290250974c5639ebad11bb5580524ca5ce57c2b3cfbcbab18d72538628"
 COMPARE_DIGEST = "86b970af47eec929bfc137a502b51ad46eb2897834917d9a5b3dafa4d4ecf43f"
+BLOCKED_SAMPLER_DIGEST = "babdb6848eb16949817f59c8b4b2b93ddd8cb0c8b52bdfea32968124c50ef3e9"
 
 
 class Digest:
@@ -73,15 +77,15 @@ def check(actual, expected):
         f"digest {actual} != {expected} with numpy {np.__version__}, BLAS {blas}")
 
 
-def test_sampler_events_and_samples_digest():
+def sampler_digest(cases, seeds):
     d = Digest()
-    for n, c, steps, prune_steps, r in SAMPLER_CASES:
+    for n, c, steps, prune_steps, r in cases:
         side = int(n ** 0.5)
         model, schedule = ToyDenoiser(c, seed=0), NoiseSchedule.linear(steps)
         for strategy in STRATEGIES:
             config = MergeConfig(strategy, 0.0 if strategy == "none" else r,
                                  prune_steps=prune_steps)
-            for seed in (0, 3):
+            for seed in seeds:
                 events = []
                 out = sample(model, schedule, config, 7.5, 1, Rng(seed), (side, side),
                              hook=events.append)
@@ -89,7 +93,15 @@ def test_sampler_events_and_samples_digest():
                     d.value(ev.step_index, ev.layer, ev.pass_id, ev.mode, ev.grid_fallback)
                     d.plan(ev.plan)
                 d.array(out.data)
-    check(d.hexdigest(), SAMPLER_DIGEST)
+    return d.hexdigest()
+
+
+def test_sampler_events_and_samples_digest():
+    check(sampler_digest(SAMPLER_CASES, (0, 3)), SAMPLER_DIGEST)
+
+
+def test_blocked_sampler_events_and_samples_digest():
+    check(sampler_digest(BLOCKED_SAMPLER_CASES, (0,)), BLOCKED_SAMPLER_DIGEST)
 
 
 def test_planner_grid_and_apply_digest():
@@ -114,7 +126,6 @@ def test_capture_and_replay_digest(tmp_path):
     for row in run_replay(read_capture(path), list(STRATEGIES), 0.7, params):
         d.value(*(row[col] for col in REPLAY_COLUMNS))
     check(d.hexdigest(), REPLAY_DIGEST)
-
 
 
 def test_compare_digest():

@@ -21,11 +21,13 @@ def test_guidance_magnitude_hand_value():
     np.testing.assert_allclose(imp.scores, [0.5])
 
 
+# 256 rows are one row block; 1215 and 4096 rows split into several.
+@pytest.mark.parametrize("rows, cols", [(256, 32), (1215, 42), (4096, 64)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_guidance_magnitude_equals_widened_mean_form(dtype):
+def test_guidance_magnitude_equals_widened_mean_form(dtype, rows, cols):
     gen = np.random.default_rng(3)
-    a = (gen.standard_normal((256, 32)) * 10.0 ** gen.uniform(-4, 4, (256, 1))).astype(dtype)
-    b = (gen.standard_normal((256, 32)) * 10.0 ** gen.uniform(-4, 4, (256, 1))).astype(dtype)
+    a = (gen.standard_normal((rows, cols)) * 10.0 ** gen.uniform(-4, 4, (rows, 1))).astype(dtype)
+    b = (gen.standard_normal((rows, cols)) * 10.0 ** gen.uniform(-4, 4, (rows, 1))).astype(dtype)
     expected = np.abs(a.astype(np.float64) - b.astype(np.float64)).mean(axis=1)
     scores = guidance_magnitude(TokenMatrix(a), TokenMatrix(b)).scores
     assert scores.dtype == expected.dtype

@@ -273,6 +273,20 @@ def test_unit_rows_equal_norm_and_where_form(dtype):
     assert_same_bits(x, before)  # the argument is left as it was
 
 
+@pytest.mark.parametrize("rows, cols", [(1215, 42), (4096, 64)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_unit_rows_equal_norm_and_where_form_over_several_row_blocks(dtype, rows, cols):
+    gen = np.random.default_rng(rows)
+    x = gen.standard_normal((rows, cols)) * 10.0 ** gen.uniform(-20, 20, (rows, 1))
+    x[::101] = 0.0
+    x = x.astype(dtype)
+    whole = unit_rows(x)
+    assert_same_bits(whole, reference_unit_rows(x))
+    # A row slice normalizes to that slice of the whole, at any offset.
+    for block in (*_row_blocks(rows), slice(63, 700), slice(rows - 63, rows)):
+        assert_same_bits(unit_rows(x[block]), whole[block])
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_link_best_equals_separately_normalized_operands(seed):
     gen = np.random.default_rng(seed)
