@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import ImportanceMap, TokenMatrix
+from .matching import _row_blocks
 
 
 def guidance_magnitude(eps_cond: TokenMatrix, eps_uncond: TokenMatrix) -> ImportanceMap:
@@ -18,10 +19,16 @@ def guidance_magnitude(eps_cond: TokenMatrix, eps_uncond: TokenMatrix) -> Import
             f"shape mismatch: {eps_cond.data.shape} vs {eps_uncond.data.shape}"
         )
     # The float64 difference, in place |.|, and the add.reduce and division
-    # by the channel count that .mean(axis=1) runs.
-    diff = np.subtract(eps_cond.data, eps_uncond.data, dtype=np.float64)
-    scores = np.add.reduce(np.abs(diff, out=diff), axis=1)
-    scores /= diff.shape[1]
+    # by the channel count that .mean(axis=1) runs, one row block at a time
+    # in one buffer, so no (N, C) float64 array is built.
+    a, b = eps_cond.data, eps_uncond.data
+    blocks = _row_blocks(a.shape[0])
+    diff = np.empty((blocks[-1].stop - blocks[-1].start, a.shape[1]), dtype=np.float64)
+    scores = np.empty(a.shape[0], dtype=np.float64)
+    for rows in blocks:
+        d = np.subtract(a[rows], b[rows], out=diff[: rows.stop - rows.start], dtype=np.float64)
+        np.add.reduce(np.abs(d, out=d), axis=1, out=scores[rows])
+    scores /= a.shape[1]
     return ImportanceMap(scores)
 
 

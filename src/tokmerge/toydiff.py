@@ -106,8 +106,10 @@ def combine_guidance(
         return eps_uncond
     if w == 1.0:
         return eps_cond
-    dtype = eps_uncond.data.dtype
-    guided = eps_uncond.data + dtype.type(w) * (eps_cond.data - eps_uncond.data)
+    # The same operations, in the difference's buffer.
+    guided = np.subtract(eps_cond.data, eps_uncond.data)
+    guided *= eps_uncond.data.dtype.type(w)
+    np.add(eps_uncond.data, guided, out=guided)
     return TokenMatrix(guided, grid=eps_uncond.grid)
 
 
@@ -214,18 +216,20 @@ def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
+def _gelu(x: np.ndarray, out: np.ndarray | None = None,
+          scratch: np.ndarray | None = None) -> np.ndarray:
     # 0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x * x))) in that operation
     # order, the inner term in place in one scratch buffer.  The cube is
-    # x * x * x: numpy's float32 power is about 100x slower.
-    t = x * x
+    # x * x * x: numpy's float32 power is about 100x slower.  ``out`` may be
+    # ``x`` itself; ``scratch``, when given, is x's shape and is overwritten.
+    t = np.multiply(x, x, out=scratch)
     t *= x
     t *= x.dtype.type(0.044715)
     t += x
     t *= x.dtype.type(math.sqrt(2.0 / math.pi))
     np.tanh(t, out=t)
     t += 1.0
-    out = x.dtype.type(0.5) * x
+    out = np.multiply(x.dtype.type(0.5), x, out=out)
     out *= t
     return out
 
@@ -239,29 +243,36 @@ def attention(
 ) -> np.ndarray:
     """Single-head scaled dot-product self-attention over token rows.
 
-    Scores, softmax and their product with v run one block of query rows at
-    a time, so no (N, N) score matrix is built; each row's result equals the
-    unblocked one bit for bit.
+    The weights are (C, C).  Everything but kᵀ, v and the output runs one
+    block of query rows at a time (see
+    :func:`~tokmerge.matching._row_blocks`): the q projection, scores,
+    softmax, their product with v and the output projection.  At its peak
+    the call holds kᵀ, v and the output, (N, C) each, plus one block's
+    scores and one block of q rows, whose buffer then takes the product with
+    v; both buffers are allocated once per call.  No (N, N) score matrix is
+    built, and each row's result equals the unblocked one bit for bit.
     """
-    q = h @ wq
     kt = (h @ wk).T
     v = h @ wv
     scale = h.dtype.type(1.0 / math.sqrt(h.shape[1]))
-    o = np.empty_like(v)
+    out = np.empty_like(v)
     blocks = _row_blocks(h.shape[0])
-    # One score buffer serves every block; the last block is the largest.  A
-    # fresh array per block let the C heap shrink and regrow on every call:
+    # One set of buffers serves every block; the last block is the largest.
+    # A fresh array per block let the C heap shrink and regrow on every call:
     # about 12k page faults per 3-step, 1024-token trajectory.
-    scores = np.empty((blocks[-1].stop - blocks[-1].start, h.shape[0]), dtype=o.dtype)
+    n_max = blocks[-1].stop - blocks[-1].start
+    rows_buf = np.empty((n_max, v.shape[1]), dtype=v.dtype)
+    scores = np.empty((n_max, h.shape[0]), dtype=v.dtype)
     for rows in blocks:
-        s = np.matmul(q[rows], kt, out=scores[: rows.stop - rows.start])
+        n = rows.stop - rows.start
+        s = np.matmul(np.matmul(h[rows], wq, out=rows_buf[:n]), kt, out=scores[:n])
         s *= scale
         # The ufunc reductions that .max and .sum run, without their wrappers.
         s -= np.maximum.reduce(s, axis=1, keepdims=True)
         np.exp(s, out=s)
         s /= np.add.reduce(s, axis=1, keepdims=True)
-        np.matmul(s, v, out=o[rows])
-    return o @ wo
+        np.matmul(np.matmul(s, v, out=rows_buf[:n]), wo, out=out[rows])
+    return out
 
 
 @dataclass
@@ -298,15 +309,24 @@ def merged_attention(hn: np.ndarray, blk: _Block, plan: MergePlan, mode: str) ->
 def _mlp_residual(h: np.ndarray, blk: _Block) -> np.ndarray:
     """``h + MLP(LN(h))`` for ``blk``, one block of rows at a time.
 
-    No (N, hidden) array is built; each row equals the unblocked
-    ``h + _gelu(_layer_norm(h) @ w1 + b1) @ w2 + b2`` bit for bit.
+    No (N, hidden) array is built: at its peak the call holds ``h``, the
+    (N, C) output and two (block, hidden) buffers, allocated once per call,
+    in which each block's hidden rows and their GELU are computed in place.
+    Each row equals the unblocked ``h + _gelu(_layer_norm(h) @ w1 + b1) @ w2
+    + b2`` bit for bit.
     """
     out = np.empty_like(h)
-    for rows in _row_blocks(h.shape[0]):
-        g = _layer_norm(h[rows], blk.ln2_g, blk.ln2_b) @ blk.w1
+    blocks = _row_blocks(h.shape[0])
+    n_max = blocks[-1].stop - blocks[-1].start
+    g_buf = np.empty((n_max, blk.w1.shape[1]), dtype=out.dtype)
+    t_buf = np.empty_like(g_buf)
+    for rows in blocks:
+        n = rows.stop - rows.start
+        g = np.matmul(_layer_norm(h[rows], blk.ln2_g, blk.ln2_b), blk.w1, out=g_buf[:n])
         g += blk.b1
-        np.add(h[rows], _gelu(g) @ blk.w2, out=out[rows])
-        out[rows] += blk.b2
+        o = np.matmul(_gelu(g, out=g, scratch=t_buf[:n]), blk.w2, out=out[rows])
+        o += h[rows]
+        o += blk.b2
     return out
 
 
@@ -400,18 +420,22 @@ class ToyDenoiser:
         reduction applies to the normalized operand attention consumes.
         """
         x = tokens.data.astype(np.float32, copy=False)
-        h = x + self._time_embedding(t)[None, :] + self._class_embedding(y)[None, :]
+        h = x + self._time_embedding(t)[None, :]
+        h += self._class_embedding(y)[None, :]
         for layer, blk in enumerate(self.blocks):
+            # Planning runs before the normalized operand exists, so its
+            # temporaries and that operand are never alive together.
+            plan = None if plan_for is None else plan_for(layer, TokenMatrix(h, grid=tokens.grid))
             hn = _layer_norm(h, blk.ln1_g, blk.ln1_b)
-            if plan_for is None:
-                h = h + attention(hn, blk.wq, blk.wk, blk.wv, blk.wo)
+            if plan is None:
+                a = attention(hn, blk.wq, blk.wk, blk.wv, blk.wo)
             else:
-                h = h + merged_attention(
-                    hn, blk, *plan_for(layer, TokenMatrix(h, grid=tokens.grid))
-                )
-            del hn  # only the residual stays alive through the MLP
+                a = merged_attention(hn, blk, *plan)
+            h = np.add(a, h, out=a)  # h + a, in a's buffer
+            del hn, plan, a  # only the residual stays alive through the MLP
             h = _mlp_residual(h, blk)
-        out = _layer_norm(h, self.ln_out_g, self.ln_out_b) @ self.w_out + self.b_out
+        out = _layer_norm(h, self.ln_out_g, self.ln_out_b) @ self.w_out
+        out += self.b_out
         return TokenMatrix(out, grid=tokens.grid)
 
 
@@ -487,6 +511,11 @@ def sample(
     Deterministic given seeds: initial noise, per-step noise, and per-layer
     plan draws all come from disjoint (timestep, layer) streams of ``rng``,
     so matched-seed runs across strategies share every noise draw.
+
+    Each step updates ``x`` in place and frees the guided prediction, the
+    step's noise and its plan callback before the next step, so between
+    steps the loop holds ``x`` and the guidance map alone; its peak is that
+    of one :func:`cfg_predict` call beside ``x``.
     """
     h, w_grid = grid
     n = h * w_grid
@@ -498,18 +527,23 @@ def sample(
     for step_index, t in enumerate(range(schedule.T, 0, -1)):
         plan_for = _step_planner(step_index, t, guidance, config, rng, hook)
         eps, guidance = cfg_predict(model, x_t, t, y, w, plan_for)
+        del plan_for
 
         alpha = np.float32(schedule.alphas[t - 1])
         coef = np.float32(
             (1.0 - schedule.alphas[t - 1]) / math.sqrt(1.0 - schedule.alpha_bars[t - 1])
         )
-        mean = (x - coef * eps.data) / np.sqrt(alpha)
+        # mean = (x - coef * eps) / sqrt(alpha), then x = mean + sigma * z:
+        # the same operations, in the buffers of eps, x and z.
+        x -= np.multiply(eps.data, coef, out=eps.data)
+        del eps
+        x /= np.sqrt(alpha)
         if t > 1:
             z = rng.at(t, STEP_NOISE_LAYER).generator().standard_normal(
                 x.shape, dtype=np.float32
             )
-            x = mean + np.float32(math.sqrt(schedule.betas[t - 1])) * z
-        else:
-            x = mean
+            z *= np.float32(math.sqrt(schedule.betas[t - 1]))
+            x += z
+            del z
         x_t = TokenMatrix(x, grid=grid)
     return x_t

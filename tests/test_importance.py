@@ -21,10 +21,7 @@ def test_guidance_magnitude_hand_value():
     np.testing.assert_allclose(imp.scores, [0.5])
 
 
-# 256 rows are one row block; 1215 and 4096 rows split into several.
-@pytest.mark.parametrize("rows, cols", [(256, 32), (1215, 42), (4096, 64)])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_guidance_magnitude_equals_widened_mean_form(dtype, rows, cols):
+def assert_guidance_magnitude_equals_widened_mean_form(dtype, rows, cols):
     gen = np.random.default_rng(3)
     a = (gen.standard_normal((rows, cols)) * 10.0 ** gen.uniform(-4, 4, (rows, 1))).astype(dtype)
     b = (gen.standard_normal((rows, cols)) * 10.0 ** gen.uniform(-4, 4, (rows, 1))).astype(dtype)
@@ -32,6 +29,18 @@ def test_guidance_magnitude_equals_widened_mean_form(dtype, rows, cols):
     scores = guidance_magnitude(TokenMatrix(a), TokenMatrix(b)).scores
     assert scores.dtype == expected.dtype
     np.testing.assert_array_equal(scores.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_guidance_magnitude_equals_widened_mean_form(dtype):
+    assert_guidance_magnitude_equals_widened_mean_form(dtype, 256, 32)
+
+
+# 1215 and 4096 rows split into several row blocks; 256 rows are one.
+@pytest.mark.parametrize("rows, cols", [(1215, 42), (4096, 64)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_guidance_magnitude_equals_widened_mean_form_over_several_row_blocks(dtype, rows, cols):
+    assert_guidance_magnitude_equals_widened_mean_form(dtype, rows, cols)
 
 
 def test_guidance_magnitude_zero_when_predictions_agree():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_toydiff import traced_peak
 
 from tokmerge import TokenMatrix, paired_cosine
 from tokmerge.matching import _row_blocks, link_best, unit_rows
@@ -238,6 +239,16 @@ def test_blocked_link_best_equals_unblocked_kernel(n_src):
     assert assignment.dtype == np.int64
     np.testing.assert_array_equal(assignment, ref_assignment)
     np.testing.assert_array_equal(scores.view(np.uint64), ref_scores.view(np.uint64))
+
+
+def test_link_best_peak_memory_below_a_float64_src_copy_and_one_sims_block():
+    n_src, n_dst, c = 3072, 1024, 64
+    gen = np.random.default_rng(2)
+    src = gen.standard_normal((n_src, c), dtype=np.float32)
+    dst = gen.standard_normal((n_dst, c), dtype=np.float32)
+    block = max(b.stop - b.start for b in _row_blocks(n_src))
+    float64 = np.dtype(np.float64).itemsize
+    assert traced_peak(link_best, src, dst) < (n_src * c + block * n_dst) * float64
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from tokmerge import (
     scheduled_plan,
 )
 from tokmerge import toydiff
+from tokmerge.matching import _row_blocks
 from tokmerge.toydiff import (
     MODE_MERGE,
     MODE_PRUNE,
@@ -576,14 +577,42 @@ def test_gelu_leaves_its_argument_unchanged():
     assert_same_bits(x, before)
 
 
-def test_attention_peak_memory_below_half_a_score_matrix():
-    n, c = 2048, 64
-    blk = random_block(c, seed=1)
-    h = np.random.default_rng(1).standard_normal((n, c), dtype=np.float32)
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes ``tracemalloc`` traces while ``fn`` runs, beyond its arguments."""
     tracemalloc.start()
     try:
-        attention(h, blk.wq, blk.wk, blk.wv, blk.wo)
+        fn(*args, **kwargs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < n * n * np.dtype(np.float32).itemsize / 2
+    return peak
+
+
+# Room for a call's small arrays and numpy's ufunc buffers (8192 elements
+# each; a broadcast in-place subtract on a score block took 36 KB).
+SLACK_BYTES = 128 << 10
+
+
+def test_attention_peak_memory_below_half_a_score_matrix():
+    # 2015 = 5 * 288 + 575 rows: the last row block has the most rows a
+    # block can have.
+    n, c, block = 2015, 64, 575
+    assert max(b.stop - b.start for b in _row_blocks(n)) == block
+    blk = random_block(c, seed=1)
+    h = np.random.default_rng(1).standard_normal((n, c), dtype=np.float32)
+    peak = traced_peak(attention, h, blk.wq, blk.wk, blk.wv, blk.wo)
+    itemsize = np.dtype(np.float32).itemsize
+    assert peak < n * n * itemsize / 2
+    # kᵀ, v and the output, one block of scores and one block of q rows.
+    assert peak < (3 * n * c + block * n + block * c) * itemsize + SLACK_BYTES
+
+
+def test_pool_trajectory_peak_memory_below_ten_token_matrices():
+    # A 3-step pool trajectory at 1024x64: x, both passes' predictions, the
+    # residual stream and the layer's operands, with every wider temporary
+    # held to one row block.
+    n, c = 1024, 64
+    model, schedule = ToyDenoiser(c, seed=0), NoiseSchedule.linear(3)
+    config = MergeConfig("importance-pool", r=0.7, prune_steps=1)
+    peak = traced_peak(sample, model, schedule, config, 7.5, 1, Rng(0), (32, 32))
+    assert peak < 10 * n * c * np.dtype(np.float32).itemsize
