@@ -427,8 +427,9 @@ def measure_attention_latency(
 
     Each call plans through :func:`toydiff.plan_layer` (``none`` at ratio 0,
     grid selection otherwise) and runs :func:`toydiff.merged_attention` on a
-    :class:`ToyDenoiser` block: plan build, merge, attention on the reduced
-    set and unmerge, or plain attention through the engine's bypass at ratio 0.
+    :class:`ToyDenoiser` block's raw input rows: plan build, ``ln1``, merge,
+    attention on the reduced set and unmerge, or ``ln1`` and plain attention
+    through the engine's bypass at ratio 0.
     """
     side = math.isqrt(n_tokens)
     x = Rng(seed).at(0, 0).generator().standard_normal((n_tokens, n_channels),

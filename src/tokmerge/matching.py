@@ -8,26 +8,43 @@ import numpy as np
 
 # Rows per block of the blocked layer kernels (see ``_row_blocks``).
 _ROW_BLOCK = 288
+# Bytes of one block of ``link_best``'s float64 scores (see ``_link_rows``).
+_LINK_BLOCK_BYTES = 1 << 20
 
 
 @lru_cache(maxsize=64)
-def _row_blocks(n: int) -> tuple[slice, ...]:
-    """Split ``range(n)`` into contiguous blocks of ``_ROW_BLOCK`` rows.
+def _row_blocks(n: int, rows: int = _ROW_BLOCK) -> tuple[slice, ...]:
+    """Split ``range(n)`` into contiguous blocks of ``rows`` rows.
 
-    The remainder joins the last block, so every block has 288-575 rows and
-    fewer than 576 rows stay one block.  A blocked row-wise kernel then
-    equals the unblocked one bit for bit on one thread of OpenBLAS 0.3.31
-    (Haswell kernels), whose rounding depends on where a row falls in a
-    call: sgemm differs on calls of fewer than 16 rows, and dgemm, when the
-    columns leave a tail, on row offsets that are not a multiple of 12.  288
-    is a multiple of 48.  A remainder given its own block would be such a
-    call: split into four blocks of 288 rows and one of 63, ``link_best`` of
-    1215 src rows (42 channels, 15 dst rows) scored 42 of the last 63 rows
-    off the unblocked kernel's bits.  Smaller blocks buy no speed either:
-    96- and 192-row blocks ran 4096-token attention 2-3% slower.
+    ``rows`` is a multiple of 48, at most ``_ROW_BLOCK``.  The remainder
+    joins the last block, so every block has ``rows`` to ``2 * rows - 1``
+    rows (288-575 by default) and fewer than ``2 * rows`` rows stay one
+    block.  A blocked row-wise kernel then equals the unblocked one bit for
+    bit on one thread of OpenBLAS 0.3.31 (Haswell kernels), whose rounding
+    depends on where a row falls in a call: sgemm differs on calls of fewer
+    than 16 rows, and dgemm, when the columns leave a tail, on row offsets
+    that are not a multiple of 12.  A remainder given its own block would be
+    such a call: split into four blocks of 288 rows and one of 63,
+    ``link_best`` of 1215 src rows (42 channels, 15 dst rows) scored 42 of
+    the last 63 rows off the unblocked kernel's bits.  Smaller blocks buy
+    attention no speed either: 96- and 192-row blocks ran 4096-token
+    attention 2-3% slower, so only ``link_best`` asks for fewer rows.
     """
-    starts = [i * _ROW_BLOCK for i in range(max(1, n // _ROW_BLOCK))]
+    starts = [i * rows for i in range(max(1, n // rows))]
     return tuple(slice(a, b) for a, b in zip(starts, starts[1:] + [n]))
+
+
+def _link_rows(n_dst: int) -> int:
+    """Src rows per ``link_best`` block against ``n_dst`` dst rows.
+
+    The most rows, a multiple of 48 and at most ``_ROW_BLOCK``, whose
+    float64 ``(rows, n_dst)`` scores fit in ``_LINK_BLOCK_BYTES`` (48 rows
+    when none do).  Up to 455 dst rows, which covers every layer of 1024
+    tokens or fewer, this is ``_ROW_BLOCK``; a 4096-token grid layer (1024
+    dst rows) scores 96 src rows at a time.
+    """
+    fit = _LINK_BLOCK_BYTES // (8 * n_dst) // 48 * 48
+    return min(_ROW_BLOCK, max(48, fit))
 
 
 def unit_rows(x: np.ndarray) -> np.ndarray:
@@ -85,9 +102,11 @@ def link_best(src_rows: np.ndarray, dst_rows: np.ndarray) -> tuple[np.ndarray, n
     toward the lower dst index.  Returns the per-src dst index and the
     per-src maximum similarity.
 
-    The src rows are normalized and scored one row block at a time against
-    dst rows normalized once, so at its peak the call holds the float64 unit
-    dst rows and one block's float64 unit src rows and (block, n_dst) scores;
+    The src rows are normalized and scored one block at a time against dst
+    rows normalized once, in blocks of :func:`_link_rows` rows whose float64
+    scores stay within about 1 MB.  At its peak the call holds the float64
+    unit dst rows and one block's float64 unit src rows and (block, n_dst)
+    scores, or, while it normalizes dst, that float64 copy and its squares;
     no (n_src, n_dst) kernel and no float64 copy of all src rows is built.
     """
     src_rows = np.asarray(src_rows)
@@ -102,7 +121,7 @@ def link_best(src_rows: np.ndarray, dst_rows: np.ndarray) -> tuple[np.ndarray, n
     # dst apart gives the bits of normalizing them together.  One block of
     # src normalizes with dst in one call, which is the cheaper path there.
     n_src = src_rows.shape[0]
-    blocks = _row_blocks(n_src)
+    blocks = _row_blocks(n_src, _link_rows(dst_rows.shape[0]))
     if len(blocks) == 1:
         unit = unit_rows(np.concatenate((src_rows, dst_rows)))
         assignment, best = _link_block(unit[:n_src], unit[n_src:].T)

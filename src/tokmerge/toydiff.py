@@ -240,6 +240,7 @@ def attention(
     wk: np.ndarray,
     wv: np.ndarray,
     wo: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Single-head scaled dot-product self-attention over token rows.
 
@@ -247,15 +248,20 @@ def attention(
     block of query rows at a time (see
     :func:`~tokmerge.matching._row_blocks`): the q projection, scores,
     softmax, their product with v and the output projection.  At its peak
-    the call holds kᵀ, v and the output, (N, C) each, plus one block's
-    scores and one block of q rows, whose buffer then takes the product with
-    v; both buffers are allocated once per call.  No (N, N) score matrix is
-    built, and each row's result equals the unblocked one bit for bit.
+    the call holds kᵀ and v, (N, C) each, the output (``out`` when given,
+    else a new (N, C) array), plus one block's scores and one block of q
+    rows, whose buffer then takes the product with v; both buffers are
+    allocated once per call.  No (N, N) score matrix is built, and each
+    row's result equals the unblocked one bit for bit.
+
+    ``out`` may be ``h`` itself: kᵀ and v are computed first, and each block
+    reads its q rows before it writes its output rows.
     """
     kt = (h @ wk).T
     v = h @ wv
     scale = h.dtype.type(1.0 / math.sqrt(h.shape[1]))
-    out = np.empty_like(v)
+    if out is None:
+        out = np.empty_like(v)
     blocks = _row_blocks(h.shape[0])
     # One set of buffers serves every block; the last block is the largest.
     # A fresh array per block let the C heap shrink and regrow on every call:
@@ -291,18 +297,35 @@ class _Block:
     b2: np.ndarray
 
 
-def merged_attention(hn: np.ndarray, blk: _Block, plan: MergePlan, mode: str) -> np.ndarray:
-    """``blk``'s attention over the token set ``plan`` reduces ``hn`` to, unmerged.
+def merged_attention(
+    h: np.ndarray, blk: _Block, plan: MergePlan | None, mode: str
+) -> np.ndarray:
+    """``blk``'s attention step: ``ln1`` of the rows ``h``, then attention over
+    the token set ``plan`` reduces them to, unmerged.
 
-    ``mode`` picks the reduction: prune drops merged rows, merge averages
-    them into their dst.  A plan that merges nothing runs attention
-    unpermuted, so the engine is bit-transparent (reductions are not
-    permutation-bit-stable).
+    ``mode`` picks the reduction: prune keeps the dst and independent rows
+    of ``h`` and normalizes only those, merge normalizes every row and
+    averages the merged ones into their dst.  ``plan`` None, or a plan that
+    merges nothing, runs attention on all rows unpermuted, so the engine is
+    bit-transparent (reductions are not permutation-bit-stable).  Every
+    output bit equals that of normalizing all of ``h`` and then reducing.
+
+    Attention writes into the operand it has just normalized or reduced, so
+    at its peak, besides ``h``, the step holds that operand, its kᵀ and v
+    and one row block of attention: (N, C) each without merging, (n_out, C)
+    each when reducing.  A merge layer frees the normalized (N, C) rows as
+    soon as it has reduced them, and the (N, C) unmerged output comes last.
     """
-    if plan.n_merged == 0:
-        return attention(hn, blk.wq, blk.wk, blk.wv, blk.wo)
-    reduce = apply_prune if mode == MODE_PRUNE else apply_merge
-    a = attention(reduce(TokenMatrix(hn), plan).data, blk.wq, blk.wk, blk.wv, blk.wo)
+    if plan is None or plan.n_merged == 0:
+        hn = _layer_norm(h, blk.ln1_g, blk.ln1_b)
+        return attention(hn, blk.wq, blk.wk, blk.wv, blk.wo, out=hn)
+    if mode == MODE_PRUNE:
+        # _layer_norm works row by row, so the kept rows' bits are those of
+        # normalizing every row.
+        reduced = _layer_norm(apply_prune(TokenMatrix(h), plan).data, blk.ln1_g, blk.ln1_b)
+    else:
+        reduced = apply_merge(TokenMatrix(_layer_norm(h, blk.ln1_g, blk.ln1_b)), plan).data
+    a = attention(reduced, blk.wq, blk.wk, blk.wv, blk.wo, out=reduced)
     return apply_unmerge(TokenMatrix(a), plan).data
 
 
@@ -416,23 +439,20 @@ class ToyDenoiser:
 
         Without ``plan_for`` every block runs plain attention.  With it, each
         block asks ``plan_for(layer, layer_tokens)`` for its plan and mode;
-        ``layer_tokens`` is the block's raw input on ``tokens``' grid, and the
-        reduction applies to the normalized operand attention consumes.
+        ``layer_tokens`` is the block's raw input on ``tokens``' grid, and
+        :func:`merged_attention` runs every block's attention step.
         """
         x = tokens.data.astype(np.float32, copy=False)
         h = x + self._time_embedding(t)[None, :]
         h += self._class_embedding(y)[None, :]
         for layer, blk in enumerate(self.blocks):
-            # Planning runs before the normalized operand exists, so its
-            # temporaries and that operand are never alive together.
-            plan = None if plan_for is None else plan_for(layer, TokenMatrix(h, grid=tokens.grid))
-            hn = _layer_norm(h, blk.ln1_g, blk.ln1_b)
-            if plan is None:
-                a = attention(hn, blk.wq, blk.wk, blk.wv, blk.wo)
-            else:
-                a = merged_attention(hn, blk, *plan)
+            # Planning runs before the layer step normalizes, so its
+            # temporaries and the normalized operand are never alive together.
+            plan, mode = ((None, MODE_MERGE) if plan_for is None
+                          else plan_for(layer, TokenMatrix(h, grid=tokens.grid)))
+            a = merged_attention(h, blk, plan, mode)
             h = np.add(a, h, out=a)  # h + a, in a's buffer
-            del hn, plan, a  # only the residual stays alive through the MLP
+            del plan, a  # only the residual stays alive through the MLP
             h = _mlp_residual(h, blk)
         out = _layer_norm(h, self.ln_out_g, self.ln_out_b) @ self.w_out
         out += self.b_out

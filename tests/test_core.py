@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_toydiff import traced_peak
 
 from tokmerge import (
     ConfigInfeasibleError,
@@ -19,6 +20,7 @@ from tokmerge import (
     apply_unmerge,
     counts_for,
     identity_plan,
+    plan_importance_pool,
 )
 from tokmerge.rng import Rng
 
@@ -571,3 +573,46 @@ def test_apply_kernels_equal_their_reference_forms(seed):
             pruned, np.concatenate([data[p.dst_indices], data[p.independent_indices]]))
         restored = apply_unmerge(TokenMatrix(merged), p).data
         np.testing.assert_array_equal(restored, reference_apply_unmerge(merged, p))
+
+
+def multi_block_plan(seed, n=3000, n_dst=700, big_group=40):
+    """A plan with ``n_dst`` > 576 dst rows (several row blocks of groups),
+    one dst in the last block merging ``big_group`` sources, and the other
+    merged tokens spread at random."""
+    gen = np.random.default_rng(seed)
+    perm = gen.permutation(n)
+    dst = np.sort(perm[:n_dst])
+    rest = perm[n_dst:]
+    ind = np.sort(rest[: n // 10])
+    merged_src = rest[n // 10:]
+    merged_pos = gen.integers(0, n_dst, merged_src.size)
+    merged_pos[:big_group] = n_dst - 5
+    order = np.argsort(merged_src)
+    return MergePlan(n, dst, ind, merged_src[order], merged_pos[order])
+
+
+@pytest.mark.parametrize("n_dst", [577, 700, 1200])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_merge_equals_whole_array_reduceat(dtype, n_dst):
+    p = multi_block_plan(n_dst, n_dst=n_dst)
+    assert np.bincount(p.merged_dst_pos).max() > 10
+    gen = np.random.default_rng(n_dst)
+    data = (gen.standard_normal((p.n_in, 24)) * 10.0 ** gen.uniform(-3, 3, (p.n_in, 1)))
+    data = data.astype(dtype)
+    merged = apply_merge(TokenMatrix(data), p).data
+    expected = reference_apply_merge(data, p)
+    assert merged.dtype == expected.dtype
+    np.testing.assert_array_equal(merged.view(np.uint8), expected.view(np.uint8))
+
+
+def test_merge_peak_memory_below_one_block_of_groups():
+    # A pool plan at 4096x64, r=0.7: 1024 dst groups of 3892 rows.  The
+    # whole-array form held every grouped row as float32 and float64 (3.09
+    # MB); by blocks of groups the call peaks at about 1.9 MB.
+    n, c = 4096, 64
+    gen = np.random.default_rng(0)
+    tokens = TokenMatrix(gen.standard_normal((n, c), dtype=np.float32), grid=(64, 64))
+    importance = ImportanceMap(gen.random(n))
+    p = plan_importance_pool(tokens, importance, MergeConfig("importance-pool", 0.7), Rng(0))
+    assert p.dst_indices.size == 1024 and p.n_merged == n - p.n_out
+    assert traced_peak(apply_merge, tokens, p) < 2.2e6

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from test_toydiff import traced_peak
 
 from tokmerge import TokenMatrix, paired_cosine
-from tokmerge.matching import _row_blocks, link_best, unit_rows
+from tokmerge import matching
+from tokmerge.matching import _link_rows, _row_blocks, link_best, unit_rows
 
 
 def brute_force_match(src, dst):
@@ -248,7 +249,57 @@ def test_link_best_peak_memory_below_a_float64_src_copy_and_one_sims_block():
     dst = gen.standard_normal((n_dst, c), dtype=np.float32)
     block = max(b.stop - b.start for b in _row_blocks(n_src))
     float64 = np.dtype(np.float64).itemsize
-    assert traced_peak(link_best, src, dst) < (n_src * c + block * n_dst) * float64
+    peak = traced_peak(link_best, src, dst)
+    assert peak < (n_src * c + block * n_dst) * float64
+    # 96-row blocks against 1024 dst rows: the unit dst rows (or, while they
+    # are made, their float64 copy and its squares) and one 0.79 MB block of
+    # scores.  288-575-row blocks peaked at 4.76 MB.
+    assert peak < 2e6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=20_000))
+def test_link_rows_keep_288_up_to_455_dst_rows_and_about_1_mb_of_scores_above(n_dst):
+    rows, row_bytes = _link_rows(n_dst), 8 * n_dst
+    assert rows % 48 == 0 and 48 <= rows <= 288
+    assert (rows == 288) == (n_dst <= 455)
+    if rows > 48:
+        assert rows * row_bytes <= 1 << 20
+    if rows < 288:
+        assert (rows + 48) * row_bytes > 1 << 20
+
+
+@pytest.mark.parametrize("n_src, n_dst", [
+    (1000, 456), (1219, 700), (3072, 1024), (3100, 1024), (4000, 2731), (150, 3000),
+])
+def test_link_best_in_score_sized_blocks_equals_unblocked_kernel(n_src, n_dst):
+    gen = np.random.default_rng(n_src + n_dst)
+    src = gen.standard_normal((n_src, 64), dtype=np.float32)
+    dst = gen.standard_normal((n_dst, 64), dtype=np.float32)
+    src[::97] = dst[0]
+    assert len(_row_blocks(n_src, _link_rows(n_dst))) > 1
+    assignment, scores = link_best(src, dst)
+    ref_assignment, ref_scores = reference_link_best(src, dst)
+    np.testing.assert_array_equal(assignment, ref_assignment)
+    np.testing.assert_array_equal(scores.view(np.uint64), ref_scores.view(np.uint64))
+
+
+@pytest.mark.parametrize("n_src, n_dst, calls", [(192, 64, 1), (768, 256, 3), (3072, 1024, 33)])
+def test_link_best_normalizes_dst_once_and_a_lone_src_block_with_it(monkeypatch, n_src, n_dst, calls):
+    # A lone src block normalizes with dst in one unit_rows call: a flat
+    # 96-row block split 192x64 into two calls and ran 37% slower.
+    seen = []
+
+    def counted(x):
+        seen.append(x.shape[0])
+        return unit_rows(x)
+
+    monkeypatch.setattr(matching, "unit_rows", counted)
+    gen = np.random.default_rng(n_src)
+    link_best(gen.standard_normal((n_src, 64)), gen.standard_normal((n_dst, 64)))
+    assert len(seen) == calls
+    if calls == 1:
+        assert seen == [n_src + n_dst]
 
 
 # ---------------------------------------------------------------------------

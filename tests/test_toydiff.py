@@ -17,6 +17,9 @@ from tokmerge import (
     Rng,
     TokenMatrix,
     ToyDenoiser,
+    apply_merge,
+    apply_prune,
+    apply_unmerge,
     cfg_predict,
     combine_guidance,
     identity_plan,
@@ -33,6 +36,7 @@ from tokmerge.toydiff import (
     _layer_norm,
     _mlp_residual,
     attention,
+    merged_attention,
 )
 
 # Token counts around the row-block edges: one block (256 to 575), two exact
@@ -545,6 +549,66 @@ def test_blocked_mlp_residual_equals_unblocked_formula(n):
     assert_same_bits(_mlp_residual(h, blk), h + hidden @ blk.w2 + blk.b2)
 
 
+@pytest.mark.parametrize("n", [76, 1228, 4096])
+def test_attention_into_its_own_operand_equals_a_fresh_output(n):
+    blk = random_block(64, seed=n)
+    h = np.random.default_rng(n).standard_normal((n, 64), dtype=np.float32)
+    weights = (blk.wq, blk.wk, blk.wv, blk.wo)
+    fresh = attention(h, *weights)
+    operand = h.copy()
+    assert attention(operand, *weights, out=operand) is operand
+    assert_same_bits(operand, fresh)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=600),
+    st.integers(min_value=1, max_value=96),
+)
+def test_layer_norm_of_a_row_subset_equals_that_subset_of_the_whole(seed, rows, cols):
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((1228, cols), dtype=np.float32) * np.float32(3.0)
+    g = gen.standard_normal(cols, dtype=np.float32)
+    b = gen.standard_normal(cols, dtype=np.float32)
+    kept = np.sort(gen.choice(x.shape[0], rows, replace=False))
+    assert_same_bits(_layer_norm(x.take(kept, axis=0), g, b), _layer_norm(x, g, b)[kept])
+
+
+def reference_layer_step(h, blk, plan, mode):
+    """The composition the layer step replaces: ln1 of every row, then the
+    reduction, attention into a fresh output, and unmerge."""
+    hn = _layer_norm(h, blk.ln1_g, blk.ln1_b)
+    weights = (blk.wq, blk.wk, blk.wv, blk.wo)
+    if plan is None or plan.n_merged == 0:
+        return attention(hn, *weights)
+    reduce = apply_prune if mode == MODE_PRUNE else apply_merge
+    a = attention(reduce(TokenMatrix(hn), plan).data, *weights)
+    return apply_unmerge(TokenMatrix(a), plan).data
+
+
+@pytest.mark.parametrize("side", [16, 32, 64])
+@pytest.mark.parametrize("strategy", ["none", "tome-random-grid", "importance-pool"])
+@pytest.mark.parametrize("mode", [MODE_MERGE, MODE_PRUNE])
+def test_layer_step_equals_normalize_reduce_attend_unmerge(mode, strategy, side):
+    n, c = side * side, 64
+    gen = np.random.default_rng(side)
+    blk = random_block(c, seed=side)
+    blk = dataclasses.replace(
+        blk, ln1_g=1 + 0.1 * gen.standard_normal(c, dtype=np.float32),
+        ln1_b=0.1 * gen.standard_normal(c, dtype=np.float32))
+    h = gen.standard_normal((n, c), dtype=np.float32) * np.float32(2.0)
+    before = h.copy()
+    importance = ImportanceMap(gen.random(n))
+    plan = toydiff.plan_layer(TokenMatrix(h, grid=(side, side)), importance,
+                              MergeConfig(strategy, 0.7 if strategy != "none" else 0.0),
+                              Rng(side))
+    assert (plan.n_merged > 0) == (strategy != "none")
+    for p in (plan, None):
+        assert_same_bits(merged_attention(h, blk, p, mode), reference_layer_step(h, blk, p, mode))
+        assert_same_bits(h, before)  # the residual stream is left as it was
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10_000),
@@ -616,3 +680,16 @@ def test_pool_trajectory_peak_memory_below_ten_token_matrices():
     config = MergeConfig("importance-pool", r=0.7, prune_steps=1)
     peak = traced_peak(sample, model, schedule, config, 7.5, 1, Rng(0), (32, 32))
     assert peak < 10 * n * c * np.dtype(np.float32).itemsize
+
+
+def test_pool_trajectory_peak_memory_at_4096_tokens_below_six_and_a_half_token_matrices():
+    # A 2-step pool trajectory at 4096x64 (a grid prune step, then a pool
+    # merge step): link_best's score blocks stay near 1 MB, apply_merge
+    # reduces one block of groups at a time, and the layer step drops the
+    # normalized operand once it is reduced.  Whole-array forms peaked at
+    # 7.7 token matrices of N·C·4 B.
+    n, c = 4096, 64
+    model, schedule = ToyDenoiser(c, seed=0), NoiseSchedule.linear(2)
+    config = MergeConfig("importance-pool", r=0.7, prune_steps=1)
+    peak = traced_peak(sample, model, schedule, config, 7.5, 1, Rng(0), (64, 64))
+    assert peak < 6.5 * n * c * np.dtype(np.float32).itemsize
