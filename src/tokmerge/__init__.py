@@ -19,7 +19,6 @@ from .core import (
     identity_plan,
 )
 from .importance import guidance_magnitude, rank_tokens
-from .matching import paired_cosine
 from .rng import Rng
 from .strategy import plan_importance_pool, plan_tome_grid, plan_topk_dst
 from .toydiff import (
@@ -56,7 +55,6 @@ __all__ = [
     "counts_for",
     "guidance_magnitude",
     "identity_plan",
-    "paired_cosine",
     "plan_importance_pool",
     "plan_tome_grid",
     "plan_topk_dst",

@@ -323,7 +323,10 @@ def apply_merge(tokens: TokenMatrix, plan: MergePlan) -> TokenMatrix:
     The groups are reduced one :func:`~tokmerge.matching._row_blocks` block
     of dst positions at a time, straight into the output, so at its peak the
     call holds the output, the plan's group order, one block's rows as
-    gathered and in float64, and the previous block's float64 sums.
+    gathered and in float64, and the previous block's float64 sums.  The
+    output is allocated after the first block's sums, so where every group
+    fits one block (2303 tokens or fewer at k=0.25) it is never alive beside
+    the gathered rows.
     """
     if not plan.n_merged:
         return apply_prune(tokens, plan)
@@ -335,20 +338,21 @@ def apply_merge(tokens: TokenMatrix, plan: MergePlan) -> TokenMatrix:
     # practice, so the means equal those of a per-source np.add.at; for
     # float64 tokens they can differ in the last place.  A group's sum reads
     # only its own rows, so reducing by blocks of groups gives the same bits.
-    group = np.concatenate((np.arange(n_dst), plan.merged_dst_pos))
-    order = np.argsort(group, kind="stable")
+    order = np.argsort(np.concatenate((np.arange(n_dst), plan.merged_dst_pos)), kind="stable")
     rows = np.concatenate((plan.dst_indices, plan.merged_sources))[order]
-    sizes = np.bincount(group)
+    sizes = np.bincount(plan.merged_dst_pos, minlength=n_dst) + 1
     ends = np.add.accumulate(sizes)
     # The means and the independent rows go straight into the output; the
     # float64 quotient rounds once on the way in.
-    out = np.empty((plan.n_out, data.shape[1]), dtype=data.dtype)
+    out = None
     for block in _row_blocks(n_dst):
         first, last = ends[block.start] - sizes[block.start], ends[block.stop - 1]
         # Nested, so that a block's gather and its float64 copy (none for
         # float64 tokens) are freed as soon as they are summed.
         sums = np.add.reduceat(data.take(rows[first:last], axis=0).astype(np.float64, copy=False),
                                ends[block] - sizes[block] - first)
+        if out is None:
+            out = np.empty((plan.n_out, data.shape[1]), dtype=data.dtype)
         np.divide(sums, sizes[block, None], out=out[block], casting="unsafe")
     data.take(plan.independent_indices, axis=0, out=out[n_dst:])
     return TokenMatrix(out)

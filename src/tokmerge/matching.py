@@ -8,7 +8,7 @@ import numpy as np
 
 # Rows per block of the blocked layer kernels (see ``_row_blocks``).
 _ROW_BLOCK = 288
-# Bytes of one block of ``link_best``'s float64 scores (see ``_link_rows``).
+# Bytes of one block of ``link_best``'s float64 scores (see ``_block_rows``).
 _LINK_BLOCK_BYTES = 1 << 20
 
 
@@ -26,24 +26,27 @@ def _row_blocks(n: int, rows: int = _ROW_BLOCK) -> tuple[slice, ...]:
     that are not a multiple of 12.  A remainder given its own block would be
     such a call: split into four blocks of 288 rows and one of 63,
     ``link_best`` of 1215 src rows (42 channels, 15 dst rows) scored 42 of
-    the last 63 rows off the unblocked kernel's bits.  Smaller blocks buy
-    attention no speed either: 96- and 192-row blocks ran 4096-token
-    attention 2-3% slower, so only ``link_best`` asks for fewer rows.
+    the last 63 rows off the unblocked kernel's bits.  Kernels whose
+    temporaries grow with a second dimension ask :func:`_block_rows` for
+    fewer rows.
     """
     starts = [i * rows for i in range(max(1, n // rows))]
     return tuple(slice(a, b) for a, b in zip(starts, starts[1:] + [n]))
 
 
-def _link_rows(n_dst: int) -> int:
-    """Src rows per ``link_best`` block against ``n_dst`` dst rows.
+def _block_rows(row_bytes: int, budget: int) -> int:
+    """Rows per block of a kernel whose block temporaries take ``row_bytes``
+    bytes per row.
 
-    The most rows, a multiple of 48 and at most ``_ROW_BLOCK``, whose
-    float64 ``(rows, n_dst)`` scores fit in ``_LINK_BLOCK_BYTES`` (48 rows
-    when none do).  Up to 455 dst rows, which covers every layer of 1024
-    tokens or fewer, this is ``_ROW_BLOCK``; a 4096-token grid layer (1024
-    dst rows) scores 96 src rows at a time.
+    The most rows, a multiple of 48 and at most ``_ROW_BLOCK``, that fit in
+    ``budget`` bytes (48 rows when none do).  ``link_best`` holds float64
+    scores against n_dst dst rows in 1 MiB (``_LINK_BLOCK_BYTES``): 288 rows
+    up to 455 dst rows, which covers every layer of 1024 tokens or fewer,
+    and 96 against a 4096-token grid layer's 1024 dst rows.  Attention fits
+    float32 scores over N keys in 2 MiB: 288 rows up to 1820 keys, 96 at
+    4096.
     """
-    fit = _LINK_BLOCK_BYTES // (8 * n_dst) // 48 * 48
+    fit = budget // row_bytes // 48 * 48
     return min(_ROW_BLOCK, max(48, fit))
 
 
@@ -103,11 +106,12 @@ def link_best(src_rows: np.ndarray, dst_rows: np.ndarray) -> tuple[np.ndarray, n
     per-src maximum similarity.
 
     The src rows are normalized and scored one block at a time against dst
-    rows normalized once, in blocks of :func:`_link_rows` rows whose float64
-    scores stay within about 1 MB.  At its peak the call holds the float64
-    unit dst rows and one block's float64 unit src rows and (block, n_dst)
-    scores, or, while it normalizes dst, that float64 copy and its squares;
-    no (n_src, n_dst) kernel and no float64 copy of all src rows is built.
+    rows normalized once, in blocks of :func:`_block_rows` rows whose
+    float64 scores stay within about 1 MB.  At its peak the call holds the
+    float64 unit dst rows and one block's float64 unit src rows and
+    (block, n_dst) scores, or, while it normalizes dst, that float64 copy
+    and its squares; no (n_src, n_dst) kernel and no float64 copy of all src
+    rows is built.
     """
     src_rows = np.asarray(src_rows)
     dst_rows = np.asarray(dst_rows)
@@ -121,7 +125,7 @@ def link_best(src_rows: np.ndarray, dst_rows: np.ndarray) -> tuple[np.ndarray, n
     # dst apart gives the bits of normalizing them together.  One block of
     # src normalizes with dst in one call, which is the cheaper path there.
     n_src = src_rows.shape[0]
-    blocks = _row_blocks(n_src, _link_rows(dst_rows.shape[0]))
+    blocks = _row_blocks(n_src, _block_rows(8 * dst_rows.shape[0], _LINK_BLOCK_BYTES))
     if len(blocks) == 1:
         unit = unit_rows(np.concatenate((src_rows, dst_rows)))
         assignment, best = _link_block(unit[:n_src], unit[n_src:].T)

@@ -39,7 +39,7 @@ from .core import (
 )
 # resample_importance is unused here but stays bound for tools that wrap it.
 from .importance import guidance_magnitude, resample_importance  # noqa: F401
-from .matching import _row_blocks
+from .matching import _block_rows, _row_blocks
 from .rng import Rng
 from .strategy import _grid_config, plan_importance_pool, plan_tome_grid, plan_topk_dst
 
@@ -53,6 +53,8 @@ MODE_MERGE = "merge"
 MODE_PRUNE = "prune"
 
 _HIDDEN_MULT = 4  # MLP width per channel
+# Bytes of one block of attention's float32 scores (see ``attention``).
+_SCORE_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -245,14 +247,22 @@ def attention(
     """Single-head scaled dot-product self-attention over token rows.
 
     The weights are (C, C).  Everything but kᵀ, v and the output runs one
-    block of query rows at a time (see
-    :func:`~tokmerge.matching._row_blocks`): the q projection, scores,
-    softmax, their product with v and the output projection.  At its peak
-    the call holds kᵀ and v, (N, C) each, the output (``out`` when given,
-    else a new (N, C) array), plus one block's scores and one block of q
-    rows, whose buffer then takes the product with v; both buffers are
-    allocated once per call.  No (N, N) score matrix is built, and each
-    row's result equals the unblocked one bit for bit.
+    block of query rows at a time, FlashAttention-style: the q projection,
+    scores, softmax, their product with v and the output projection.
+    Blocks have the :func:`~tokmerge.matching._block_rows` rows whose scores
+    fit in ``_SCORE_BLOCK_BYTES`` (2 MiB), and the last block takes the
+    remainder: 288-575 rows up to 1820 keys, 96 (the last 160) at 4096.
+    The 1/√C scale multiplies the block's q rows, and the softmax is left
+    unnormalized until after its product with v: each output row is
+    ``(exp(s - max s) @ v) / sum exp(s - max s)``, so the division runs over
+    (rows, C) values instead of (rows, N) scores.
+
+    At its peak the call holds kᵀ and v, (N, C) each, the output (``out``
+    when given, else a new (N, C) array), plus one block's scores and one
+    block of q rows, whose buffer then takes the product with v; both
+    buffers are allocated once per call.  No (N, N) score matrix is built,
+    and each row's result equals the unblocked form of the same operations
+    bit for bit.
 
     ``out`` may be ``h`` itself: kᵀ and v are computed first, and each block
     reads its q rows before it writes its output rows.
@@ -262,22 +272,26 @@ def attention(
     scale = h.dtype.type(1.0 / math.sqrt(h.shape[1]))
     if out is None:
         out = np.empty_like(v)
-    blocks = _row_blocks(h.shape[0])
+    n_keys = h.shape[0]
+    blocks = _row_blocks(n_keys, _block_rows(n_keys * v.itemsize, _SCORE_BLOCK_BYTES))
     # One set of buffers serves every block; the last block is the largest.
     # A fresh array per block let the C heap shrink and regrow on every call:
     # about 12k page faults per 3-step, 1024-token trajectory.
     n_max = blocks[-1].stop - blocks[-1].start
     rows_buf = np.empty((n_max, v.shape[1]), dtype=v.dtype)
-    scores = np.empty((n_max, h.shape[0]), dtype=v.dtype)
+    scores = np.empty((n_max, n_keys), dtype=v.dtype)
     for rows in blocks:
         n = rows.stop - rows.start
-        s = np.matmul(np.matmul(h[rows], wq, out=rows_buf[:n]), kt, out=scores[:n])
-        s *= scale
+        # The block's q rows, then their scores' product with v.
+        qv = np.matmul(h[rows], wq, out=rows_buf[:n])
+        qv *= scale
+        s = np.matmul(qv, kt, out=scores[:n])
         # The ufunc reductions that .max and .sum run, without their wrappers.
         s -= np.maximum.reduce(s, axis=1, keepdims=True)
         np.exp(s, out=s)
-        s /= np.add.reduce(s, axis=1, keepdims=True)
-        np.matmul(np.matmul(s, v, out=rows_buf[:n]), wo, out=out[rows])
+        np.matmul(s, v, out=qv)
+        qv /= np.add.reduce(s, axis=1, keepdims=True)
+        np.matmul(qv, wo, out=out[rows])
     return out
 
 

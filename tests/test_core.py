@@ -606,13 +606,17 @@ def test_blocked_merge_equals_whole_array_reduceat(dtype, n_dst):
 
 
 def test_merge_peak_memory_below_one_block_of_groups():
-    # A pool plan at 4096x64, r=0.7: 1024 dst groups of 3892 rows.  The
+    # Pool plans at r=0.7.  At 4096x64, 1024 dst groups of 3892 rows: the
     # whole-array form held every grouped row as float32 and float64 (3.09
-    # MB); by blocks of groups the call peaks at about 1.9 MB.
-    n, c = 4096, 64
+    # MB); by blocks of groups the call peaks at about 1.9 MB.  At 1024x64
+    # all 256 groups are one block, and the output, allocated after their
+    # sums, is never alive beside the gathered rows: allocated first, it
+    # peaked at 854,448 B.
     gen = np.random.default_rng(0)
-    tokens = TokenMatrix(gen.standard_normal((n, c), dtype=np.float32), grid=(64, 64))
-    importance = ImportanceMap(gen.random(n))
-    p = plan_importance_pool(tokens, importance, MergeConfig("importance-pool", 0.7), Rng(0))
-    assert p.dst_indices.size == 1024 and p.n_merged == n - p.n_out
-    assert traced_peak(apply_merge, tokens, p) < 2.2e6
+    for side, bound in ((64, 2.2e6), (32, 773_360)):
+        n, c = side * side, 64
+        tokens = TokenMatrix(gen.standard_normal((n, c), dtype=np.float32), grid=(side, side))
+        importance = ImportanceMap(gen.random(n))
+        p = plan_importance_pool(tokens, importance, MergeConfig("importance-pool", 0.7), Rng(0))
+        assert p.dst_indices.size == n // 4 and p.n_merged == n - p.n_out
+        assert traced_peak(apply_merge, tokens, p) <= bound

@@ -43,11 +43,11 @@ SAMPLER_CASES = [(64, 16, 8, 2, 0.5), (256, 32, 4, 2, 0.7)]
 # ``matching._row_blocks``); the cases above each run as one block.
 BLOCKED_SAMPLER_CASES = [(1024, 64, 3, 1, 0.7)]
 
-SAMPLER_DIGEST = "ce184e1126fec2a71a025f27fc8e7906963fc3320c670fcf4ef16ee0d01b5c94"
+SAMPLER_DIGEST = "31ce4f7cb3d1d446d11cd3dc577c420e272610d4a858f08fc116834070192fdf"
 PLANNER_DIGEST = "8001cd9ec4a7c5992d1f2b55c108ee4c731b2749ecc5f1d8147a4882037ab411"
-REPLAY_DIGEST = "eaef55290250974c5639ebad11bb5580524ca5ce57c2b3cfbcbab18d72538628"
-COMPARE_DIGEST = "86b970af47eec929bfc137a502b51ad46eb2897834917d9a5b3dafa4d4ecf43f"
-BLOCKED_SAMPLER_DIGEST = "babdb6848eb16949817f59c8b4b2b93ddd8cb0c8b52bdfea32968124c50ef3e9"
+REPLAY_DIGEST = "ab41e64abfa01e2c57750db372f1fa604d435742c2ffb20fc73939798144913f"
+COMPARE_DIGEST = "f1e95f5250dd844c88adb58a955461bd41738d90b5fadfb02291d8c4dbc380f8"
+BLOCKED_SAMPLER_DIGEST = "4e9b00c3571397e8090b683ccca8265ec2c43b7ae0a60591dc9c635fac3e56b8"
 
 
 class Digest:

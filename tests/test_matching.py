@@ -6,9 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_toydiff import traced_peak
 
-from tokmerge import TokenMatrix, paired_cosine
+from tokmerge import TokenMatrix
 from tokmerge import matching
-from tokmerge.matching import _link_rows, _row_blocks, link_best, unit_rows
+from tokmerge.matching import (
+    _LINK_BLOCK_BYTES,
+    _block_rows,
+    _row_blocks,
+    link_best,
+    paired_cosine,
+    unit_rows,
+)
 
 
 def brute_force_match(src, dst):
@@ -260,7 +267,8 @@ def test_link_best_peak_memory_below_a_float64_src_copy_and_one_sims_block():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=20_000))
 def test_link_rows_keep_288_up_to_455_dst_rows_and_about_1_mb_of_scores_above(n_dst):
-    rows, row_bytes = _link_rows(n_dst), 8 * n_dst
+    row_bytes = 8 * n_dst
+    rows = _block_rows(row_bytes, _LINK_BLOCK_BYTES)
     assert rows % 48 == 0 and 48 <= rows <= 288
     assert (rows == 288) == (n_dst <= 455)
     if rows > 48:
@@ -277,7 +285,7 @@ def test_link_best_in_score_sized_blocks_equals_unblocked_kernel(n_src, n_dst):
     src = gen.standard_normal((n_src, 64), dtype=np.float32)
     dst = gen.standard_normal((n_dst, 64), dtype=np.float32)
     src[::97] = dst[0]
-    assert len(_row_blocks(n_src, _link_rows(n_dst))) > 1
+    assert len(_row_blocks(n_src, _block_rows(8 * n_dst, _LINK_BLOCK_BYTES))) > 1
     assignment, scores = link_best(src, dst)
     ref_assignment, ref_scores = reference_link_best(src, dst)
     np.testing.assert_array_equal(assignment, ref_assignment)

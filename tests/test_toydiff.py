@@ -28,7 +28,7 @@ from tokmerge import (
     scheduled_plan,
 )
 from tokmerge import toydiff
-from tokmerge.matching import _row_blocks
+from tokmerge.matching import _block_rows, _row_blocks
 from tokmerge.toydiff import (
     MODE_MERGE,
     MODE_PRUNE,
@@ -502,6 +502,18 @@ def reference_gelu(x):
 
 
 def reference_attention(h, wq, wk, wv, wo):
+    """The kernel's operations on whole arrays: the scale on q, and the
+    softmax's row sums dividing its product with v."""
+    q = (h @ wq) * h.dtype.type(1.0 / math.sqrt(h.shape[1]))
+    k = h @ wk
+    v = h @ wv
+    s = q @ k.T
+    s = np.exp(s - s.max(axis=1, keepdims=True))
+    return ((s @ v) / s.sum(axis=1, keepdims=True)) @ wo
+
+
+def normalize_first_attention(h, wq, wk, wv, wo):
+    """The textbook order: scale the scores, normalize them, then weigh v."""
     q = h @ wq
     k = h @ wk
     v = h @ wv
@@ -539,6 +551,21 @@ def test_blocked_attention_equals_unblocked_formula(n):
     h = np.random.default_rng(n).standard_normal((n, 64), dtype=np.float32)
     weights = (blk.wq, blk.wk, blk.wv, blk.wo)
     assert_same_bits(attention(h, *weights), reference_attention(h, *weights))
+
+
+@pytest.mark.parametrize("n", [76, 1228, 4096])
+def test_attention_tracks_the_normalize_first_softmax(n):
+    # Scaling q and dividing after the product with v round differently from
+    # scaling and normalizing the scores.  Entrywise relative error is
+    # unbounded where an output entry cancels to near zero, so each row is
+    # compared by its norm (at most 7.6e-7 relative at these sizes).
+    blk = random_block(64, seed=n)
+    h = np.random.default_rng(n).standard_normal((n, 64), dtype=np.float32)
+    weights = (blk.wq, blk.wk, blk.wv, blk.wo)
+    actual = attention(h, *weights).astype(np.float64)
+    expected = normalize_first_attention(h, *weights).astype(np.float64)
+    error = np.linalg.norm(actual - expected, axis=1) / np.linalg.norm(expected, axis=1)
+    assert error.max() < 2e-6
 
 
 @pytest.mark.parametrize("n", BLOCKED_COUNTS)
@@ -658,17 +685,20 @@ SLACK_BYTES = 128 << 10
 
 
 def test_attention_peak_memory_below_half_a_score_matrix():
-    # 2015 = 5 * 288 + 575 rows: the last row block has the most rows a
-    # block can have.
-    n, c, block = 2015, 64, 575
-    assert max(b.stop - b.start for b in _row_blocks(n)) == block
+    # Blocks have the most rows whose scores fit in 2 MiB, the last block
+    # the remainder: 2015 keys give 240-row blocks and a 335-row last block,
+    # 4096 keys 96-row blocks and a 160-row one.
+    c, itemsize = 64, np.dtype(np.float32).itemsize
     blk = random_block(c, seed=1)
-    h = np.random.default_rng(1).standard_normal((n, c), dtype=np.float32)
-    peak = traced_peak(attention, h, blk.wq, blk.wk, blk.wv, blk.wo)
-    itemsize = np.dtype(np.float32).itemsize
-    assert peak < n * n * itemsize / 2
-    # kᵀ, v and the output, one block of scores and one block of q rows.
-    assert peak < (3 * n * c + block * n + block * c) * itemsize + SLACK_BYTES
+    for n in (2015, 4096):
+        rows = _block_rows(n * itemsize, toydiff._SCORE_BLOCK_BYTES)
+        block = max(b.stop - b.start for b in _row_blocks(n, rows))
+        assert rows * n * itemsize <= toydiff._SCORE_BLOCK_BYTES and block < 2 * rows
+        h = np.random.default_rng(1).standard_normal((n, c), dtype=np.float32)
+        peak = traced_peak(attention, h, blk.wq, blk.wk, blk.wv, blk.wo)
+        assert peak < n * n * itemsize / 2
+        # kᵀ, v and the output, one block of scores and one block of q rows.
+        assert peak < (3 * n * c + block * n + block * c) * itemsize + SLACK_BYTES
 
 
 def test_pool_trajectory_peak_memory_below_ten_token_matrices():
@@ -693,3 +723,15 @@ def test_pool_trajectory_peak_memory_at_4096_tokens_below_six_and_a_half_token_m
     config = MergeConfig("importance-pool", r=0.7, prune_steps=1)
     peak = traced_peak(sample, model, schedule, config, 7.5, 1, Rng(0), (64, 64))
     assert peak < 6.5 * n * c * np.dtype(np.float32).itemsize
+
+
+def test_none_trajectory_peak_memory_at_4096_tokens_below_nine_token_matrices():
+    # A 2-step unmerged trajectory at 4096x64: x, the predictions, the
+    # residual stream, attention's operand, kᵀ and v, and one block of at
+    # most 160x4096 scores (8.65 token matrices of N·C·4 B).  Blocks of
+    # 288-575 query rows over 4096 keys peaked at 11.69.
+    n, c = 4096, 64
+    model, schedule = ToyDenoiser(c, seed=0), NoiseSchedule.linear(2)
+    config = MergeConfig("none", r=0.0)
+    peak = traced_peak(sample, model, schedule, config, 7.5, 1, Rng(0), (64, 64))
+    assert peak < 9 * n * c * np.dtype(np.float32).itemsize
