@@ -18,7 +18,6 @@ import numpy as np
 
 from . import toydiff
 from .core import (
-    STRATEGY_GRID,
     STRATEGY_NONE,
     STRATEGY_POOL,
     ConfigInfeasibleError,
@@ -414,32 +413,3 @@ def run_replay(
             rows.append(row)
     return rows
 
-
-def measure_attention_latency(
-    n_tokens: int,
-    n_channels: int,
-    ratio: float,
-    seed: int = 0,
-    repeats: int = 5,
-    warmups: int = 2,
-) -> float:
-    """Median seconds for one attention-layer step of the sampler at the given merge ratio.
-
-    Each call plans through :func:`toydiff.plan_layer` (``none`` at ratio 0,
-    grid selection otherwise) and runs :func:`toydiff.merged_attention` on a
-    :class:`ToyDenoiser` block's raw input rows: plan build, ``ln1``, merge,
-    attention on the reduced set and unmerge, or ``ln1`` and plain attention
-    through the engine's bypass at ratio 0.
-    """
-    side = math.isqrt(n_tokens)
-    x = Rng(seed).at(0, 0).generator().standard_normal((n_tokens, n_channels),
-                                                       dtype=np.float32)
-    tokens = TokenMatrix(x, grid=(side, side))
-    blk = ToyDenoiser(n_channels, seed=seed).blocks[0]
-    config = MergeConfig(STRATEGY_GRID if ratio else STRATEGY_NONE, ratio)
-
-    def call():
-        plan = toydiff.plan_layer(tokens, None, config, Rng(seed).at(1, 0))
-        toydiff.merged_attention(x, blk, plan, MODE_MERGE)
-
-    return _median_seconds(call, repeats, warmups)

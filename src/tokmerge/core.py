@@ -60,7 +60,7 @@ def require_integer(**settings: int) -> None:
             raise ConfigInfeasibleError(f"{name}={value!r} must be an integer")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TokenMatrix:
     """An ordered set of token feature vectors with stable positional indices.
 
@@ -103,7 +103,7 @@ class TokenMatrix:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImportanceMap:
     """One non-negative relevance score per token position.
 

@@ -38,7 +38,7 @@ class CaptureFormatError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CaptureRecord:
     """One layer input: token features (n, c) and the planning guidance (n,)."""
 

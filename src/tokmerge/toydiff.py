@@ -57,7 +57,7 @@ _HIDDEN_MULT = 4  # MLP width per channel
 _SCORE_BLOCK_BYTES = 2 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseSchedule:
     """Forward-process variances: betas[t-1] is the variance added at step t."""
 
@@ -182,7 +182,7 @@ def scheduled_plan(
     return ScheduledPlan(plan, MODE_MERGE, grid_fallback=fallback)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayerEvent:
     """What one attention layer saw and decided during a forward pass.
 

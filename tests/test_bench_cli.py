@@ -19,7 +19,6 @@ from tokmerge.bench import (
     COMPARE_COLUMNS,
     REPLAY_COLUMNS,
     HarnessParams,
-    measure_attention_latency,
     merge_cohesion,
     run_bench,
     run_capture,
@@ -413,29 +412,6 @@ def test_compare_normalizes_each_merging_layer_event_once(monkeypatch):
     assert merging and len(events) > len(merging)  # the none trajectory merges nothing
     assert len(inputs) == len(merging)
     assert all(x is data for x, data in zip(inputs, merging))
-
-
-@pytest.mark.parametrize("ratio, mode", [(0.0, "none"), (0.5, "tome-random-grid")])
-def test_attention_microbenchmark_runs_the_sampler_layer_step(monkeypatch, ratio, mode):
-    calls = []
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    real_plan_layer = toydiff.plan_layer
-
-    def plan_layer(tokens, importance, config, rng):
-        assert config.strategy == mode
-        return real_plan_layer(tokens, importance, config, rng)
-
-    monkeypatch.setattr(toydiff, "plan_layer", counted("plan_layer", plan_layer))
-    monkeypatch.setattr(toydiff, "merged_attention",
-                        counted("merged_attention", toydiff.merged_attention))
-    assert measure_attention_latency(16, 8, ratio, repeats=2, warmups=1) > 0.0
-    assert calls == ["plan_layer", "merged_attention"] * 3
 
 
 # ---------------------------------------------------------------------------

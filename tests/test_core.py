@@ -22,7 +22,9 @@ from tokmerge import (
     identity_plan,
     plan_importance_pool,
 )
+from tokmerge.fmap import CaptureRecord
 from tokmerge.rng import Rng
+from tokmerge.toydiff import LayerEvent, NoiseSchedule
 
 
 def plan(n, dst, ind, merged):
@@ -157,6 +159,26 @@ def test_rng_normalizes_integer_stream_ids():
     assert rng == Rng(5, 3, 1) and hash(rng) == hash(Rng(5, 3, 1))
     assert all(type(v) is int for v in (rng.seed, rng.timestep, rng.layer))
     np.testing.assert_array_equal(rng.generator().random(4), Rng(5, 3, 1).generator().random(4))
+
+
+_FEATURES = np.arange(8, dtype=np.float32).reshape(4, 2)
+_SCORES = np.array([0.5, 2.0, 1.0, 0.25])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TokenMatrix(_FEATURES, grid=(2, 2)),
+    lambda: ImportanceMap(_SCORES),
+    lambda: LayerEvent(0, 7, 1, "cond", TokenMatrix(_FEATURES), ImportanceMap(_SCORES),
+                       identity_plan(4), "none", False),
+    lambda: CaptureRecord(7, 1, _FEATURES, _SCORES),
+    lambda: NoiseSchedule(_SCORES[[3, 0, 2]] / 4),
+], ids=["TokenMatrix", "ImportanceMap", "LayerEvent", "CaptureRecord", "NoiseSchedule"])
+def test_array_value_types_compare_and_hash_by_identity(make):
+    # Field-wise equality over arrays would raise numpy's ambiguous-truth error.
+    x, y = make(), make()
+    assert x in [x] and x not in [y]
+    assert (x == y) is False and x != y
+    assert hash(x) == hash(x) and len({x, y}) == 2
 
 
 # ---------------------------------------------------------------------------
