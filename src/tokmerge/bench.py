@@ -88,7 +88,7 @@ class HarnessParams:
         self.config(STRATEGY_NONE, 0.0)  # the merge settings every config shares
 
     def grid(self) -> tuple[int, int]:
-        side = math.isqrt(self.tokens)
+        side = math.isqrt(max(self.tokens, 0))
         if side == 0 or side * side != self.tokens or side % 2:
             raise ConfigInfeasibleError(
                 f"--tokens {self.tokens} must be a positive perfect square with an even side"

@@ -328,8 +328,6 @@ def apply_merge(tokens: TokenMatrix, plan: MergePlan) -> TokenMatrix:
     fits one block (2303 tokens or fewer at k=0.25) it is never alive beside
     the gathered rows.
     """
-    if not plan.n_merged:
-        return apply_prune(tokens, plan)
     _check_plan_input(tokens, plan)
     data = tokens.data
     n_dst = plan.dst_indices.size

@@ -122,17 +122,12 @@ def link_best(src_rows: np.ndarray, dst_rows: np.ndarray) -> tuple[np.ndarray, n
             f"channel mismatch: src {src_rows.shape[1]} vs dst {dst_rows.shape[1]}"
         )
     # Each row is normalized on its own, so normalizing src by blocks and
-    # dst apart gives the bits of normalizing them together.  One block of
-    # src normalizes with dst in one call, which is the cheaper path there.
-    n_src = src_rows.shape[0]
-    blocks = _row_blocks(n_src, _block_rows(8 * dst_rows.shape[0], _LINK_BLOCK_BYTES))
-    if len(blocks) == 1:
-        unit = unit_rows(np.concatenate((src_rows, dst_rows)))
-        assignment, best = _link_block(unit[:n_src], unit[n_src:].T)
-    else:
-        dst_unit_t = unit_rows(dst_rows).T
-        links = [_link_block(unit_rows(src_rows[rows]), dst_unit_t) for rows in blocks]
-        assignment, best = map(np.concatenate, zip(*links))
+    # dst apart gives the bits of normalizing them together.
+    rows_per_block = _block_rows(8 * dst_rows.shape[0], _LINK_BLOCK_BYTES)
+    blocks = _row_blocks(src_rows.shape[0], rows_per_block)
+    dst_unit_t = unit_rows(dst_rows).T
+    links = [_link_block(unit_rows(src_rows[rows]), dst_unit_t) for rows in blocks]
+    assignment, best = map(np.concatenate, zip(*links))
     return assignment.astype(np.int64, copy=False), np.clip(best, -1.0, 1.0)
 
 

@@ -10,7 +10,10 @@ attention on the reduced token set.
 The denoiser is untrained on purpose: fidelity is always measured as
 deviation from the unmerged baseline under matched seeds, which is well
 defined regardless of training, and an untrained net exercises every merge
-mechanism.
+mechanism.  It holds only what its outputs depend on: its projection
+weights, its class table and its time projection.  Its layer norms have no
+affine step and its projections no biases, since untrained ones would be
+ones and zeros.
 """
 
 from __future__ import annotations
@@ -201,8 +204,8 @@ class LayerEvent:
     grid_fallback: bool
 
 
-def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Equal bit for bit to (x - x.mean) / sqrt(x.var() + eps) * g + b: each
+def _layer_norm(x: np.ndarray) -> np.ndarray:
+    # Equal bit for bit to (x - x.mean) / sqrt(x.var() + eps): each
     # mean is the add.reduce and division by n that .mean runs, without its
     # Python wrapper, and the centred rows are normalized in place.
     n = x.shape[1]
@@ -213,8 +216,6 @@ def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     var /= n
     var += x.dtype.type(1e-5)
     d /= np.sqrt(var, out=var)
-    d *= g
-    d += b
     return d
 
 
@@ -297,25 +298,19 @@ def attention(
 
 @dataclass
 class _Block:
-    ln1_g: np.ndarray
-    ln1_b: np.ndarray
     wq: np.ndarray
     wk: np.ndarray
     wv: np.ndarray
     wo: np.ndarray
-    ln2_g: np.ndarray
-    ln2_b: np.ndarray
     w1: np.ndarray
-    b1: np.ndarray
     w2: np.ndarray
-    b2: np.ndarray
 
 
 def merged_attention(
     h: np.ndarray, blk: _Block, plan: MergePlan | None, mode: str
 ) -> np.ndarray:
-    """``blk``'s attention step: ``ln1`` of the rows ``h``, then attention over
-    the token set ``plan`` reduces them to, unmerged.
+    """``blk``'s attention step: the layer norm of the rows ``h``, then
+    attention over the token set ``plan`` reduces them to, unmerged.
 
     ``mode`` picks the reduction: prune keeps the dst and independent rows
     of ``h`` and normalizes only those, merge normalizes every row and
@@ -331,14 +326,14 @@ def merged_attention(
     soon as it has reduced them, and the (N, C) unmerged output comes last.
     """
     if plan is None or plan.n_merged == 0:
-        hn = _layer_norm(h, blk.ln1_g, blk.ln1_b)
+        hn = _layer_norm(h)
         return attention(hn, blk.wq, blk.wk, blk.wv, blk.wo, out=hn)
     if mode == MODE_PRUNE:
         # _layer_norm works row by row, so the kept rows' bits are those of
         # normalizing every row.
-        reduced = _layer_norm(apply_prune(TokenMatrix(h), plan).data, blk.ln1_g, blk.ln1_b)
+        reduced = _layer_norm(apply_prune(TokenMatrix(h), plan).data)
     else:
-        reduced = apply_merge(TokenMatrix(_layer_norm(h, blk.ln1_g, blk.ln1_b)), plan).data
+        reduced = apply_merge(TokenMatrix(_layer_norm(h)), plan).data
     a = attention(reduced, blk.wq, blk.wk, blk.wv, blk.wo, out=reduced)
     return apply_unmerge(TokenMatrix(a), plan).data
 
@@ -349,8 +344,8 @@ def _mlp_residual(h: np.ndarray, blk: _Block) -> np.ndarray:
     No (N, hidden) array is built: at its peak the call holds ``h``, the
     (N, C) output and two (block, hidden) buffers, allocated once per call,
     in which each block's hidden rows and their GELU are computed in place.
-    Each row equals the unblocked ``h + _gelu(_layer_norm(h) @ w1 + b1) @ w2
-    + b2`` bit for bit.
+    Each row equals the unblocked ``h + _gelu(_layer_norm(h) @ w1) @ w2`` bit
+    for bit.
     """
     out = np.empty_like(h)
     blocks = _row_blocks(h.shape[0])
@@ -359,11 +354,9 @@ def _mlp_residual(h: np.ndarray, blk: _Block) -> np.ndarray:
     t_buf = np.empty_like(g_buf)
     for rows in blocks:
         n = rows.stop - rows.start
-        g = np.matmul(_layer_norm(h[rows], blk.ln2_g, blk.ln2_b), blk.w1, out=g_buf[:n])
-        g += blk.b1
+        g = np.matmul(_layer_norm(h[rows]), blk.w1, out=g_buf[:n])
         o = np.matmul(_gelu(g, out=g, scratch=t_buf[:n]), blk.w2, out=out[rows])
         o += h[rows]
-        o += blk.b2
     return out
 
 
@@ -399,28 +392,12 @@ class ToyDenoiser:
         c, hid = n_channels, self.n_hidden
         self.class_table = w(n_classes + 1, c)
         self.w_time = w(c, c)
-        self.b_time = np.zeros(c, dtype=np.float32)
         self.blocks = [
-            _Block(
-                ln1_g=np.ones(c, dtype=np.float32),
-                ln1_b=np.zeros(c, dtype=np.float32),
-                wq=w(c, c),
-                wk=w(c, c),
-                wv=w(c, c),
-                wo=w(c, c),
-                ln2_g=np.ones(c, dtype=np.float32),
-                ln2_b=np.zeros(c, dtype=np.float32),
-                w1=w(c, hid),
-                b1=np.zeros(hid, dtype=np.float32),
-                w2=w(hid, c),
-                b2=np.zeros(c, dtype=np.float32),
-            )
+            _Block(wq=w(c, c), wk=w(c, c), wv=w(c, c), wo=w(c, c),
+                   w1=w(c, hid), w2=w(hid, c))
             for _ in range(n_blocks)
         ]
-        self.ln_out_g = np.ones(c, dtype=np.float32)
-        self.ln_out_b = np.zeros(c, dtype=np.float32)
         self.w_out = w(c, c)
-        self.b_out = np.zeros(c, dtype=np.float32)
 
     @property
     def n_blocks(self) -> int:
@@ -433,7 +410,7 @@ class ToyDenoiser:
         )
         angles = np.float32(t) * freqs
         sincos = np.concatenate([np.sin(angles), np.cos(angles)]).astype(np.float32)
-        return sincos @ self.w_time + self.b_time
+        return sincos @ self.w_time
 
     def _class_embedding(self, y: int | None) -> np.ndarray:
         if y is None:
@@ -468,9 +445,7 @@ class ToyDenoiser:
             h = np.add(a, h, out=a)  # h + a, in a's buffer
             del plan, a  # only the residual stays alive through the MLP
             h = _mlp_residual(h, blk)
-        out = _layer_norm(h, self.ln_out_g, self.ln_out_b) @ self.w_out
-        out += self.b_out
-        return TokenMatrix(out, grid=tokens.grid)
+        return TokenMatrix(_layer_norm(h) @ self.w_out, grid=tokens.grid)
 
 
 def cfg_predict(

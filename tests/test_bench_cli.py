@@ -122,7 +122,7 @@ def test_bench_flops_decrease_with_ratio():
 
 
 def test_bench_rejects_non_square_token_count():
-    for tokens in (60, 0):
+    for tokens in (60, 0, -16):
         with pytest.raises(Exception, match="square"):
             run_bench(["importance-pool"], [0.5],
                       HarnessParams(tokens=tokens, channels=8, steps=3), repeats=1)
@@ -517,8 +517,8 @@ def test_cli_rejects_non_finite_setting_by_name(capsys, tmp_path, command, flag,
 @pytest.mark.parametrize("command", ["bench", "compare", "capture", "replay"])
 @pytest.mark.parametrize(
     "flag, value, name",
-    [("--tokens", "15", "tokens"), ("--steps", "0", "steps"), ("--channels", "3", "channels"),
-     ("--prune-steps", "-1", "prune_steps")],
+    [("--tokens", "15", "tokens"), ("--tokens", "-16", "tokens"), ("--steps", "0", "steps"),
+     ("--channels", "3", "channels"), ("--prune-steps", "-1", "prune_steps")],
 )
 def test_cli_rejects_bad_shared_setting_by_name(capsys, tmp_path, command, flag, value,
                                                 name):

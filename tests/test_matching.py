@@ -292,10 +292,8 @@ def test_link_best_in_score_sized_blocks_equals_unblocked_kernel(n_src, n_dst):
     np.testing.assert_array_equal(scores.view(np.uint64), ref_scores.view(np.uint64))
 
 
-@pytest.mark.parametrize("n_src, n_dst, calls", [(192, 64, 1), (768, 256, 3), (3072, 1024, 33)])
-def test_link_best_normalizes_dst_once_and_a_lone_src_block_with_it(monkeypatch, n_src, n_dst, calls):
-    # A lone src block normalizes with dst in one unit_rows call: a flat
-    # 96-row block split 192x64 into two calls and ran 37% slower.
+@pytest.mark.parametrize("n_src, n_dst, calls", [(192, 64, 2), (768, 256, 3), (3072, 1024, 33)])
+def test_link_best_normalizes_dst_once_and_src_once_per_block(monkeypatch, n_src, n_dst, calls):
     seen = []
 
     def counted(x):
@@ -306,8 +304,7 @@ def test_link_best_normalizes_dst_once_and_a_lone_src_block_with_it(monkeypatch,
     gen = np.random.default_rng(n_src)
     link_best(gen.standard_normal((n_src, 64)), gen.standard_normal((n_dst, 64)))
     assert len(seen) == calls
-    if calls == 1:
-        assert seen == [n_src + n_dst]
+    assert seen[0] == n_dst and sum(seen[1:]) == n_src
 
 
 # ---------------------------------------------------------------------------

@@ -446,7 +446,7 @@ def reference_forward_inputs(model, tokens, t, y):
     inputs = []
     for blk in model.blocks:
         inputs.append(h)
-        h = h + attention(_layer_norm(h, blk.ln1_g, blk.ln1_b), blk.wq, blk.wk, blk.wv, blk.wo)
+        h = h + attention(_layer_norm(h), blk.wq, blk.wk, blk.wv, blk.wo)
         h = _mlp_residual(h, blk)
     return inputs
 
@@ -490,10 +490,10 @@ def test_gelu_float32_tracks_float64_reference():
 # Blocked layer kernels against the unblocked formulas
 # ---------------------------------------------------------------------------
 
-def reference_layer_norm(x, g, b):
+def reference_layer_norm(x):
     mean = x.mean(axis=1, keepdims=True)
     var = x.var(axis=1, keepdims=True)
-    return (x - mean) / np.sqrt(var + x.dtype.type(1e-5)) * g + b
+    return (x - mean) / np.sqrt(var + x.dtype.type(1e-5))
 
 
 def reference_gelu(x):
@@ -530,7 +530,7 @@ def assert_same_bits(actual, expected):
 
 
 def random_block(channels, seed):
-    """A denoiser block with non-trivial norms and biases and peaked attention."""
+    """A denoiser block with peaked attention."""
     gen = np.random.default_rng(seed)
     blk = ToyDenoiser(channels, seed=seed).blocks[0]
 
@@ -540,8 +540,6 @@ def random_block(channels, seed):
     return dataclasses.replace(
         blk,
         wq=draw(blk.wq, 0.3), wk=draw(blk.wk, 0.3), wv=draw(blk.wv, 0.2),
-        ln2_g=1 + draw(blk.ln2_g, 0.1), ln2_b=draw(blk.ln2_b, 0.1),
-        b1=draw(blk.b1, 0.1), b2=draw(blk.b2, 0.1),
     )
 
 
@@ -572,8 +570,29 @@ def test_attention_tracks_the_normalize_first_softmax(n):
 def test_blocked_mlp_residual_equals_unblocked_formula(n):
     blk = random_block(64, seed=n)
     h = np.random.default_rng(n).standard_normal((n, 64), dtype=np.float32)
-    hidden = reference_gelu(reference_layer_norm(h, blk.ln2_g, blk.ln2_b) @ blk.w1 + blk.b1)
-    assert_same_bits(_mlp_residual(h, blk), h + hidden @ blk.w2 + blk.b2)
+    hidden = reference_gelu(reference_layer_norm(h) @ blk.w1)
+    assert_same_bits(_mlp_residual(h, blk), h + hidden @ blk.w2)
+
+
+def reference_forward(model, x, t, y):
+    """``model.forward`` without merging, written out on whole arrays."""
+    half = model.n_channels // 2
+    freqs = np.exp(-math.log(10000.0) * np.arange(half, dtype=np.float32) / np.float32(half))
+    angles = np.float32(t) * freqs
+    time = np.concatenate([np.sin(angles), np.cos(angles)]) @ model.w_time
+    h = x + time + model.class_table[model.n_classes if y is None else y]
+    for blk in model.blocks:
+        h = h + reference_attention(reference_layer_norm(h), blk.wq, blk.wk, blk.wv, blk.wo)
+        h = h + reference_gelu(reference_layer_norm(h) @ blk.w1) @ blk.w2
+    return reference_layer_norm(h) @ model.w_out
+
+
+@pytest.mark.parametrize("y", [3, None])
+@pytest.mark.parametrize("n, c", [(64, 16), (256, 32), (1228, 64), (4096, 64)])
+def test_forward_equals_the_plain_formula(n, c, y):
+    model = ToyDenoiser(c, seed=n)
+    x = np.random.default_rng(n).standard_normal((n, c), dtype=np.float32)
+    assert_same_bits(model.forward(TokenMatrix(x), 7, y).data, reference_forward(model, x, 7, y))
 
 
 @pytest.mark.parametrize("n", [76, 1228, 4096])
@@ -596,16 +615,14 @@ def test_attention_into_its_own_operand_equals_a_fresh_output(n):
 def test_layer_norm_of_a_row_subset_equals_that_subset_of_the_whole(seed, rows, cols):
     gen = np.random.default_rng(seed)
     x = gen.standard_normal((1228, cols), dtype=np.float32) * np.float32(3.0)
-    g = gen.standard_normal(cols, dtype=np.float32)
-    b = gen.standard_normal(cols, dtype=np.float32)
     kept = np.sort(gen.choice(x.shape[0], rows, replace=False))
-    assert_same_bits(_layer_norm(x.take(kept, axis=0), g, b), _layer_norm(x, g, b)[kept])
+    assert_same_bits(_layer_norm(x.take(kept, axis=0)), _layer_norm(x)[kept])
 
 
 def reference_layer_step(h, blk, plan, mode):
-    """The composition the layer step replaces: ln1 of every row, then the
-    reduction, attention into a fresh output, and unmerge."""
-    hn = _layer_norm(h, blk.ln1_g, blk.ln1_b)
+    """The composition the layer step replaces: the layer norm of every row,
+    then the reduction, attention into a fresh output, and unmerge."""
+    hn = _layer_norm(h)
     weights = (blk.wq, blk.wk, blk.wv, blk.wo)
     if plan is None or plan.n_merged == 0:
         return attention(hn, *weights)
@@ -621,9 +638,6 @@ def test_layer_step_equals_normalize_reduce_attend_unmerge(mode, strategy, side)
     n, c = side * side, 64
     gen = np.random.default_rng(side)
     blk = random_block(c, seed=side)
-    blk = dataclasses.replace(
-        blk, ln1_g=1 + 0.1 * gen.standard_normal(c, dtype=np.float32),
-        ln1_b=0.1 * gen.standard_normal(c, dtype=np.float32))
     h = gen.standard_normal((n, c), dtype=np.float32) * np.float32(2.0)
     before = h.copy()
     importance = ImportanceMap(gen.random(n))
@@ -646,9 +660,7 @@ def test_layer_step_equals_normalize_reduce_attend_unmerge(mode, strategy, side)
 def test_layer_norm_and_gelu_equal_unfused_expressions(seed, rows, cols, scale):
     gen = np.random.default_rng(seed)
     x = gen.standard_normal((rows, cols), dtype=np.float32) * np.float32(scale)
-    g = gen.standard_normal(cols, dtype=np.float32)
-    b = gen.standard_normal(cols, dtype=np.float32)
-    assert_same_bits(_layer_norm(x, g, b), reference_layer_norm(x, g, b))
+    assert_same_bits(_layer_norm(x), reference_layer_norm(x))
     assert_same_bits(_gelu(x), reference_gelu(x))
 
 
@@ -656,9 +668,7 @@ def test_layer_norm_and_gelu_equal_unfused_expressions(seed, rows, cols, scale):
 def test_layer_norm_equals_mean_var_form_at_workload_shapes(rows, cols):
     gen = np.random.default_rng(rows + cols)
     x = gen.standard_normal((rows, cols), dtype=np.float32) * np.float32(3.0)
-    g = gen.standard_normal(cols, dtype=np.float32)
-    b = gen.standard_normal(cols, dtype=np.float32)
-    assert_same_bits(_layer_norm(x, g, b), reference_layer_norm(x, g, b))
+    assert_same_bits(_layer_norm(x), reference_layer_norm(x))
 
 
 def test_gelu_leaves_its_argument_unchanged():
